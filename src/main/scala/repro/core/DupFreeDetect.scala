@@ -27,6 +27,8 @@ object DupFreeDetect {
     val dObs  = matches.map(_._2).distinct.size
     if (mSize == 0 || dObs == mSize) return Result(dupFree = true, dObs, mSize)
 
+    // The right table holds at least the right tuples that occur in M.
+    val nDraw = math.max(nRight, dObs.toLong)
     val rng = new Random(seed)
     val step = math.max(1, mSize / 10)
     val xs = (0 to mSize by step) :+ mSize
@@ -37,7 +39,7 @@ object DupFreeDetect {
       var d = x // the x true positives are distinct by the null hypothesis
       var k = 0
       while (k < mSize - x) {
-        val v = 1 + math.abs(rng.nextLong()) % nRight
+        val v = drawId(rng.nextLong(), nDraw)
         // Draws may collide with the x "true" tuples (ids 1..x) or each other.
         if (v > x && seen.add(v)) d += 1
         k += 1
@@ -60,6 +62,12 @@ object DupFreeDetect {
     val pBelow = (bestDist.count(_ < dObs) + 0.5 * bestDist.count(_ == dObs)) / reps
     Result(dupFree = pBelow >= c, dObs, mSize)
   }
+
+  /** Maps a raw `nextLong` draw to a right-tuple id in 1..n (n >= 1):
+    * `1 + |r| % n`, with `Long.MinValue`, whose absolute value overflows,
+    * reduced by `floorMod` into the same range.
+    */
+  private[core] def drawId(r: Long, n: Long): Long = 1 + math.floorMod(math.abs(r), n)
 
   /** Detect whether the RIGHT table is duplicate-free. */
   def rightDupFree(matches: Seq[(Long, Long)], nLeft: Long,

@@ -23,20 +23,22 @@ object CrossVal {
     val foldOf = Array.ofDim[Int](n)
     perm.zipWithIndex.foreach { case (i, pos) => foldOf(i) = pos % folds }
 
+    // Each two-class fold's test rows and training matrices, built once for
+    // the whole grid.
+    val foldData = (0 until folds).map { f =>
+      val (testIdx, trainIdx) = Array.range(0, n).partition(foldOf(_) == f)
+      (f, testIdx, trainIdx.map(xs), trainIdx.map(ys))
+    }.filter(_._4.distinct.length == 2)
+
     var best: RandomForest.Params = RandomForest.Params(numTrees = numTrees)
     var bestScore = -1.0
     for (d <- depths; a <- alphas) {
       var correct = 0L; var total = 0L
-      for (f <- 0 until folds) {
-        val trainIdx = (0 until n).filter(foldOf(_) != f).toArray
-        val testIdx  = (0 until n).filter(foldOf(_) == f).toArray
-        val trX = trainIdx.map(xs); val trY = trainIdx.map(ys)
-        if (trY.distinct.length == 2) {
-          val m = RandomForest.fit(trX, trY,
-            RandomForest.Params(numTrees = numTrees, maxDepth = d, ccpAlpha = a),
-            seed = seed + f)
-          testIdx.foreach { i => if (m.predict(xs(i)) == ys(i)) correct += 1; total += 1 }
-        }
+      for ((f, testIdx, trX, trY) <- foldData) {
+        val m = RandomForest.fit(trX, trY,
+          RandomForest.Params(numTrees = numTrees, maxDepth = d, ccpAlpha = a),
+          seed = seed + f)
+        testIdx.foreach { i => if (m.predict(xs(i)) == ys(i)) correct += 1; total += 1 }
       }
       val score = if (total == 0) 0.0 else correct.toDouble / total
       if (score > bestScore) {

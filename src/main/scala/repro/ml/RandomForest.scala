@@ -1,5 +1,6 @@
 package repro.ml
 
+import scala.collection.parallel.CollectionConverters._
 import scala.util.Random
 
 /** Random forest classifier — the generic classifier g of the SIMPLE
@@ -7,6 +8,9 @@ import scala.util.Random
   *
   * Bootstrap sampling per tree + sqrt(m) feature subsampling per split;
   * predicted probability is the average of per-tree leaf class fractions.
+  * Trees are fitted in parallel on the shared fork-join pool; each tree
+  * draws only from its own `Random`, seeded up front in tree order, so the
+  * forest is the same on any number of cores.
   * The model is a plain serializable case class so a fitted forest can be
   * broadcast to Spark executors and applied as a UDF for distributed
   * inference.
@@ -31,11 +35,12 @@ object RandomForest {
     val n     = xs.length
     val nFeat = xs(0).length
     val fps   = math.max(1, math.round(math.sqrt(nFeat.toDouble)).toInt)
-    val trees = Vector.tabulate(params.numTrees) { t =>
-      val treeRng = new Random(rng.nextLong())
+    val seeds = Array.fill(params.numTrees)(rng.nextLong())
+    val trees = seeds.toVector.par.map { s =>
+      val treeRng = new Random(s)
       val boot    = Array.fill(n)(treeRng.nextInt(n))
       DecisionTree.fit(xs, ys, boot, params.maxDepth, params.ccpAlpha, fps, params.minLeaf, treeRng)
     }
-    RandomForestModel(trees)
+    RandomForestModel(trees.seq)
   }
 }

@@ -1,5 +1,6 @@
 package repro.ml
 
+import scala.collection.parallel.CollectionConverters._
 import scala.util.Random
 
 /** SMOTE (Chawla et al., 2002): synthetic minority oversampling.
@@ -7,7 +8,9 @@ import scala.util.Random
   * The paper applies SMOTE at every M-step of SIMPLE to balance the classes
   * before training the random forest. Synthetic minority points are linear
   * interpolations between a minority point and one of its k nearest minority
-  * neighbours.
+  * neighbours. The neighbour search runs in parallel over minority points
+  * on the shared fork-join pool; the synthetic draws stay on one `Random`,
+  * so the output is the same on any number of cores.
   */
 object Smote {
 
@@ -19,6 +22,7 @@ object Smote {
     val posIdx = ys.indices.filter(ys(_) == 1).toArray
     val negIdx = ys.indices.filter(ys(_) == 0).toArray
     if (posIdx.isEmpty || negIdx.isEmpty || posIdx.length == negIdx.length) return (xs, ys)
+    require(k >= 1, s"SMOTE needs k >= 1 neighbours, got $k")
 
     val (minIdx, minLabel) =
       if (posIdx.length < negIdx.length) (posIdx, 1) else (negIdx, 0)
@@ -26,21 +30,12 @@ object Smote {
     val rng  = new Random(seed)
     val minX = minIdx.map(xs)
 
-    def dist2(a: Array[Double], b: Array[Double]): Double = {
-      var s = 0.0; var i = 0
-      while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-      s
-    }
-
-    // k nearest minority neighbours per minority point (minority sets are
-    // small here — the labeling matrix has few positives — so O(n^2) is fine).
+    // k nearest minority neighbours per minority point, nearest first;
+    // equal distances go to the lower index (a stable sort by distance).
+    val kk = math.min(k, minX.length - 1)
     val neigh: Array[Array[Int]] =
       if (minX.length == 1) Array(Array(0))
-      else minX.indices.map { i =>
-        minX.indices.filter(_ != i)
-          .sortBy(j => dist2(minX(i), minX(j)))
-          .take(math.min(k, minX.length - 1)).toArray
-      }.toArray
+      else minX.indices.par.map(nearest(minX, _, kk)).toArray
 
     val synth = Array.tabulate(need) { _ =>
       val i   = rng.nextInt(minX.length)
@@ -50,5 +45,36 @@ object Smote {
       Array.tabulate(a.length)(d => a(d) + gap * (b(d) - a(d)))
     }
     (xs ++ synth, ys ++ Array.fill(need)(minLabel))
+  }
+
+  /** Indices of the `kk` points of `pts` (other than `i`) nearest to
+    * `pts(i)` by squared Euclidean distance, nearest first, ties to the
+    * lower index.
+    */
+  private def nearest(pts: Array[Array[Double]], i: Int, kk: Int): Array[Int] = {
+    val a     = pts(i)
+    val bestD = new Array[Double](kk)
+    val bestJ = new Array[Int](kk)
+    var size  = 0
+    var j = 0
+    while (j < pts.length) {
+      if (j != i) {
+        val b = pts(j)
+        val full  = size == kk
+        val bound = if (full) bestD(kk - 1) else Double.PositiveInfinity
+        // The partial sum only grows, so stop once it exceeds the k-th best.
+        var s = 0.0; var d = 0
+        while (d < a.length && s <= bound) { val t = a(d) - b(d); s += t * t; d += 1 }
+        if (!full || s < bound) {
+          var pos = if (full) kk - 1 else { size += 1; size - 1 }
+          while (pos > 0 && bestD(pos - 1) > s) {
+            bestD(pos) = bestD(pos - 1); bestJ(pos) = bestJ(pos - 1); pos -= 1
+          }
+          bestD(pos) = s; bestJ(pos) = j
+        }
+      }
+      j += 1
+    }
+    bestJ
   }
 }
