@@ -6,16 +6,16 @@ package repro.bench
   */
 class Table03OverallBench extends BenchSpec {
   test("Table 3: SIMPLE-EM has the best average F1 across methods") {
-    show(exp.table3())
-    val scores = exp.table3Scores()
-    val methods = Seq("SIMPLE-EM", "MV", "D&S", "EBCC", "FS", "SN", "ZE")
-    val avgs = methods.map(m => m -> scores.values.map(_(m)).sum / scores.size).toMap
+    val g = exp.table3()
+    show(g.table)
+    val avgs = g.columns.map(m => m -> g.avg(m)).toMap
     info(avgs.map { case (m, a) => f"$m=$a%.3f" }.mkString(" "))
     val bestBaseline = (avgs - "SIMPLE-EM").values.max
     assert(avgs("SIMPLE-EM") >= bestBaseline - 1e-9,
       s"SIMPLE-EM avg ${avgs("SIMPLE-EM")} vs best baseline $bestBaseline")
     // Wins on a majority of datasets (paper: 9 of 11).
-    val wins = scores.count { case (_, s) => s("SIMPLE-EM") >= s.removed("SIMPLE-EM").values.max - 0.01 }
+    val others = g.columns.filter(_ != "SIMPLE-EM")
+    val wins = g.rows.count(n => g(n, "SIMPLE-EM") >= others.map(g(n, _)).max - 0.01)
     assert(wins >= 6, s"SIMPLE-EM best-or-near-best on only $wins/11 datasets")
   }
 }

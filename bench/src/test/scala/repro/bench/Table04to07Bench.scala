@@ -5,10 +5,10 @@ package repro.bench
   */
 class Table04DittoBench extends BenchSpec {
   test("Table 4: SIMPLE-EM is competitive with the supervised Ditto substitute") {
-    val t = exp.table4()
-    show(t)
-    val em    = t.rows(0).drop(1).map(_.toDouble)
-    val ditto = t.rows(1).drop(1).map(_.toDouble)
+    val g = exp.table4()
+    show(g.table)
+    val em    = g.row("SIMPLE-EM")
+    val ditto = g.row("DittoSim")
     val emAvg = em.sum / em.size; val dAvg = ditto.sum / ditto.size
     info(f"SIMPLE-EM avg $emAvg%.3f vs DittoSim avg $dAvg%.3f")
     // Weak supervision holds its own against the label-consuming comparator
@@ -48,15 +48,13 @@ class Table05ActiveLearningBench extends BenchSpec {
   */
 class Table06RuntimeBench extends BenchSpec {
   test("Table 6: runtime ordering matches the paper's shape") {
-    val t = exp.table6()
-    show(t)
-    val avgRow = t.rows.last.drop(1).map(c => if (c == "-") Double.NaN else c.toDouble)
-    val names = t.header.drop(1)
-    val avg = names.zip(avgRow).toMap
+    val g = exp.table6()
+    show(g.table)
+    val avg = g.columns.map(c => c -> g.avg(c)).toMap
     info(avg.map { case (k, v) => f"$k=$v%.2f" }.mkString(" "))
     assert(avg("MV") <= avg("SIMPLE-EM"), "MV should be cheaper than SIMPLE-EM")
     assert(avg("SN") <= avg("SIMPLE-EM"), "SN should be cheaper than SIMPLE-EM")
-    assert(avgRow.filterNot(_.isNaN).forall(_ >= 0))
+    assert(avg.values.filterNot(_.isNaN).forall(_ >= 0))
   }
 }
 

@@ -6,10 +6,9 @@ package repro.bench
   */
 class Table08TransitivityBench extends BenchSpec {
   test("Table 8: SIMPLE-EM transitivity beats greedy and postprocessing on average") {
-    val t = exp.table8()
-    show(t)
-    val avgRow = t.rows.last.drop(1).map(_.toDouble)
-    val Seq(noTrans, simpleEm, zeTrans, post) = avgRow.toSeq
+    val g = exp.table8()
+    show(g.table)
+    val Seq(noTrans, simpleEm, zeTrans, post) = g.columns.map(g.avg)
     info(f"no-trans=$noTrans%.3f simple-em=$simpleEm%.3f zeroer-trans=$zeTrans%.3f post=$post%.3f")
     assert(simpleEm >= noTrans - 1e-9, "transitivity must not hurt on average")
     assert(simpleEm >= zeTrans - 1e-9, "must beat the ZeroER greedy projection")
@@ -22,9 +21,9 @@ class Table08TransitivityBench extends BenchSpec {
   */
 class Table09ViolationsBench extends BenchSpec {
   test("Table 9: SIMPLE-EM dominates under GT corruption; scores decline in x") {
-    val t = exp.table9()
-    show(t)
-    val byMethod = t.rows.map(r => r.head -> r.drop(1).map(_.toDouble)).toMap
+    val g = exp.table9()
+    show(g.table)
+    val byMethod = g.rows.map(m => m -> g.row(m)).toMap
     // Monotone-ish decline for every method.
     byMethod.foreach { case (m, xs) =>
       assert(xs.head >= xs.last - 0.02, s"$m should decline as x grows: $xs")

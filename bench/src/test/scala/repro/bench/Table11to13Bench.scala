@@ -5,10 +5,10 @@ package repro.bench
   */
 class Table11SensitivityBench extends BenchSpec {
   test("Table 11: SIMPLE-EM stays best as LFs are randomized and thinned") {
-    val t = exp.table11()
-    show(t)
-    val byMethod = t.rows.map(r => r.head -> r.drop(1).map(_.toDouble)).toMap
-    val scen = t.header.drop(1)
+    val g = exp.table11()
+    show(g.table)
+    val byMethod = g.rows.map(m => m -> g.row(m)).toMap
+    val scen = g.columns
     // SIMPLE-EM leads every scenario (allow small noise at RT+40%).
     scen.indices.foreach { i =>
       val em = byMethod("SIMPLE-EM")(i)
@@ -35,17 +35,16 @@ class Table11SensitivityBench extends BenchSpec {
   */
 class Table12WrenchBench extends BenchSpec {
   test("Table 12: SIMPLE is at the top and never collapses on WRENCH analogues") {
-    show(exp.table12())
-    val scores = exp.table12Scores()
-    val methods = Seq("SIMPLE", "MV", "D&S", "EBCC", "FS", "SN")
-    val avgs = methods.map(m => m -> scores.values.map(_(m)).sum / scores.size).toMap
+    val g = exp.table12()
+    show(g.table)
+    val avgs = g.columns.map(m => m -> g.avg(m)).toMap
     info(avgs.map { case (m, a) => f"$m=$a%.3f" }.mkString(" "))
     val bestOther = (avgs - "SIMPLE").values.max
     assert(avgs("SIMPLE") >= bestOther - 0.02, s"SIMPLE=${avgs("SIMPLE")} best-other=$bestOther")
     assert(avgs("SIMPLE") > avgs("D&S") && avgs("SIMPLE") > avgs("EBCC"),
       "SIMPLE must clearly beat the confusion-matrix models")
     // SIMPLE never collapses to ~0 on any dataset (several baselines do).
-    scores.values.foreach(s => assert(s("SIMPLE") > 0.15))
+    g.col("SIMPLE").foreach(s => assert(s > 0.15))
   }
 }
 

@@ -1,17 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** A labeling model ("truth inference method"): consumes the labeling
   * matrix X (n pairs x m LF votes in {-1, 0, +1}) and outputs soft labels
   * γ_i = P(y_i = +1) per row.
   *
   * Paper §3.1: every labeling model is a function ŷ = G(X, Θ), applied
-  * row-wise. All implementations here operate on the collected matrix (a
-  * small sufficient statistic: m <= ~16 columns), while LF application,
-  * blocking and final label assignment stay distributed (see
-  * [[LabelMatrix]]).
+  * row-wise. All implementations here operate on the matrix collected to the
+  * driver (a small sufficient statistic: m <= ~16 columns), while blocking,
+  * LF application and featurization run in Spark (see `exp.Runner.prepare`).
   */
 trait LabelModel {
   def name: String
@@ -22,30 +18,6 @@ trait LabelModel {
 object LabelModel {
   /** Binarize soft labels at 0.5 (paper: ŷ_i = 1 iff γ_i >= 0.5). */
   def harden(gamma: Array[Double]): Array[Int] = gamma.map(g => if (g >= 0.5) 1 else 0)
-}
-
-/** Labeling-matrix utilities bridging DataFrames and driver matrices. */
-object LabelMatrix {
-
-  /** Collect the vote columns of `pairDf` into a driver matrix, aligned with
-    * the returned (id1, id2) pair keys.
-    */
-  def collect(pairDf: DataFrame, voteCols: Seq[String]): (Array[(Long, Long)], Array[Array[Int]]) = {
-    val rows = pairDf.select((Seq("id1", "id2") ++ voteCols).map(col): _*).collect()
-    val ids   = rows.map(r => (r.getLong(0), r.getLong(1)))
-    val votes = rows.map(r => Array.tabulate(voteCols.size)(i => r.getInt(i + 2)))
-    (ids, votes)
-  }
-
-  /** Attach a broadcast fitted random forest as a distributed scoring UDF:
-    * the model prediction runs map-side over the pair-table partitions.
-    */
-  def scoreDf(spark: SparkSession, pairDf: DataFrame, voteCols: Seq[String],
-              model: repro.ml.RandomForestModel): DataFrame = {
-    val bc = spark.sparkContext.broadcast(model)
-    val scoreUdf = udf { (votes: Seq[Int]) => bc.value.predictProba(votes.map(_.toDouble).toArray) }
-    pairDf.withColumn("gamma", scoreUdf(array(voteCols.map(col): _*)))
-  }
 }
 
 /** Precision / recall / F1 for EM predictions. */

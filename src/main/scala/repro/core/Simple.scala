@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.ml.{CrossVal, RandomForest, RandomForestModel, Smote}
+import repro.ml.{CrossVal, RandomForest, Smote}
 
 /** SIMPLE (paper §3.2, Algorithm 1): the labeling model is a generic
   * classifier — a random forest — trained inside an EM loop.
@@ -24,11 +24,6 @@ class Simple(maxIters: Int = 10,
                    constrain: Array[Double] => Array[Double] = identity,
                    override val name: String = "SIMPLE") extends LabelModel {
 
-  /** The fitted forest of the final M-step (for distributed scoring / end
-    * models); populated by fitPredict.
-    */
-  @volatile var lastModel: Option[RandomForestModel] = None
-
   def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = {
     val n = votes.length
     if (n == 0) return Array.empty
@@ -46,7 +41,6 @@ class Simple(maxIters: Int = 10,
                                                 folds = 3, numTrees = numTrees,
                                                 seed = seed + 31 * iter)
         val model     = RandomForest.fit(bx, by, params, seed = seed + 97 * iter)
-        lastModel = Some(model)
         // E-step: predict on the ORIGINAL rows, then apply the constraint.
         val next  = constrain(xs.map(model.predictProba))
         val flips = next.zip(gamma).count { case (a, b) => (a >= 0.5) != (b >= 0.5) }

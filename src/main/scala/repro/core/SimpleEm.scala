@@ -21,8 +21,12 @@ object SimpleEm {
   case object BothDupFree   extends Strategy { def describe = "both-dup-free"   }
   case object SingleTable   extends Strategy { def describe = "single-table"    }
 
+  /** `base` is the plain SIMPLE fit a two-table run makes before choosing its
+    * strategy (`None` for single-table runs, which make none).
+    */
   final case class Output(gamma: Array[Double], strategy: Strategy,
-                          leftDupFree: Boolean, rightDupFree: Boolean)
+                          leftDupFree: Boolean, rightDupFree: Boolean,
+                          base: Option[Array[Double]])
 
   /** Constraint transform for a chosen two-table strategy. */
   def transform(strategy: Strategy, pairs: Array[(Long, Long)]): Array[Double] => Array[Double] =
@@ -59,7 +63,7 @@ object SimpleEm {
         val simple = new Simple(constrain = transform(s, pairs), name = "SIMPLE-EM")
         simple.fitPredict(votes, seed)
     }
-    Output(gamma, strategy, ldf.dupFree, rdf.dupFree)
+    Output(gamma, strategy, ldf.dupFree, rdf.dupFree, Some(base))
   }
 
   /** Full SIMPLE-EM on a single-table dataset. */
@@ -69,6 +73,7 @@ object SimpleEm {
     val simple = new Simple(
       constrain = SingleTableSolver.constrain(pairs, _, solverCfg),
       name = "SIMPLE-EM")
-    Output(simple.fitPredict(votes, seed), SingleTable, leftDupFree = false, rightDupFree = false)
+    Output(simple.fitPredict(votes, seed), SingleTable, leftDupFree = false, rightDupFree = false,
+      base = None)
   }
 }

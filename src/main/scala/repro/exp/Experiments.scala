@@ -7,17 +7,20 @@ import repro.emdata.{Datasets, EmDataGen, Features}
 import repro.lf.LfSuite
 import repro.wrench.WrenchGen
 import repro.zeroer.ZeroEr
-import TableFmt.{Table, f => ff, pct}
+import TableFmt.{Grid, Table, f => ff, pct}
 
 import scala.collection.mutable
 import scala.util.Random
 
-/** One function per reproduced evaluation table. Every function returns a
-  * printable [[TableFmt.Table]]; bench suites assert on the underlying
-  * numbers and print the rendered table (tee'd into bench_output.txt).
+/** One function per reproduced evaluation table, each computing its numbers
+  * once. The numeric tables (3, 4, 6, 8, 9, 11, 12) return a
+  * [[TableFmt.Grid]]: bench suites assert on its unrounded cells and print
+  * its rendering, as the jobs/ entrypoints do. Tables 1, 2, 5, 7, 10 and 13
+  * mix text into their cells and return a [[TableFmt.Table]] directly.
   *
-  * Prepared datasets and SIMPLE/SIMPLE-EM outputs are memoized per
-  * (dataset, scale) within the JVM, since several tables share them.
+  * Prepared datasets and SIMPLE/SIMPLE-EM outputs are memoized per dataset
+  * within an instance, since several tables share them. Plain SIMPLE reuses
+  * the base fit SIMPLE-EM already made on two-table datasets.
   */
 final class Experiments(spark: SparkSession, val scale: Double) {
 
@@ -29,7 +32,8 @@ final class Experiments(spark: SparkSession, val scale: Double) {
     preparedCache.getOrElseUpdate(name, Runner.prepare(spark, Datasets.byName(name), scale))
 
   def simpleGamma(name: String): Array[Double] =
-    simpleCache.getOrElseUpdate(name, Simple.fitPredict(prepared(name).votes, seed = 0))
+    simpleCache.getOrElseUpdate(name,
+      simpleEmOut(name).base.getOrElse(Simple.fitPredict(prepared(name).votes, seed = 0)))
 
   def simpleEmOut(name: String): SimpleEm.Output =
     simpleEmCache.getOrElseUpdate(name, Runner.simpleEm(prepared(name), seed = 0))
@@ -66,44 +70,28 @@ final class Experiments(spark: SparkSession, val scale: Double) {
 
   // --- Table 3: overall labeling performance -------------------------------
 
-  def table3(): Table = {
-    val header = Seq("dataset", "SIMPLE-EM", "MV", "D&S", "EBCC", "FS", "SN", "ZE")
-    val scores = names.map { n =>
+  def table3(): Grid = {
+    val rows = names.map { n =>
       val p = prepared(n)
       val em = p.f1(simpleEmOut(n).gamma)
       val base = Runner.wsBaselines.map(m => p.f1(m.fitPredict(p.votes, seed = 0)))
       val ze = p.f1(Runner.zeroEr(p))
       n -> (em +: base :+ ze)
     }
-    val rows = scores.map { case (n, s) => n +: s.map(ff) } :+
-      ("Avg." +: (0 until header.size - 1).map(i => ff(avg(scores.map(_._2(i))))))
-    Table("Table 3: F1 of weak/unsupervised methods", header, rows)
-  }
-
-  /** Raw Table 3 scores for assertions: dataset -> method -> F1. */
-  def table3Scores(): Map[String, Map[String, Double]] = {
-    val methods = Seq("SIMPLE-EM", "MV", "D&S", "EBCC", "FS", "SN", "ZE")
-    names.map { n =>
-      val p = prepared(n)
-      val em = p.f1(simpleEmOut(n).gamma)
-      val base = Runner.wsBaselines.map(m => p.f1(m.fitPredict(p.votes, seed = 0)))
-      val ze = p.f1(Runner.zeroEr(p))
-      n -> methods.zip(em +: base :+ ze).toMap
-    }.toMap
+    Grid("Table 3: F1 of weak/unsupervised methods", "dataset",
+      "SIMPLE-EM" +: Runner.wsBaselines.map(_.name) :+ "ZE", rows, avgRow = true)
   }
 
   // --- Table 4: comparison to Ditto ----------------------------------------
 
-  def table4(): Table = {
-    val rows1 = mutable.ArrayBuffer[String]("SIMPLE-EM")
-    val rows2 = mutable.ArrayBuffer[String]("DittoSim")
-    names.foreach { n =>
+  def table4(): Grid = {
+    val em = names.map(n => prepared(n).f1(simpleEmOut(n).gamma))
+    val ditto = names.map { n =>
       val p = prepared(n)
-      rows1 += ff(p.f1(simpleEmOut(n).gamma))
-      rows2 += ff(DittoSim.run(p.textFeats, p.truth, seed = 0).testF1)
+      DittoSim.run(p.textFeats, p.truth, seed = 0).testF1
     }
-    Table("Table 4: SIMPLE-EM vs Ditto substitute (F1)",
-      "method" +: names, Seq(rows1.toSeq, rows2.toSeq))
+    Grid("Table 4: SIMPLE-EM vs Ditto substitute (F1)", "method", names,
+      Seq("SIMPLE-EM" -> em, "DittoSim" -> ditto))
   }
 
   // --- Table 5: comparison to active learning ------------------------------
@@ -141,12 +129,11 @@ final class Experiments(spark: SparkSession, val scale: Double) {
 
   // --- Table 6: running time ------------------------------------------------
 
-  def table6(): Table = {
+  def table6(): Grid = {
     def time[A](a: => A): Double = {
       val t0 = System.nanoTime(); a; (System.nanoTime() - t0) / 1e9
     }
-    val header = Seq("dataset", "SIMPLE-EM", "MV", "D&S", "EBCC", "FS", "SN", "ZE", "AL-RF", "DittoSim")
-    val all = names.map { n =>
+    val rows = names.map { n =>
       val p = prepared(n)
       val tEm = time(Runner.simpleEm(p, seed = 1))
       val tWs = Runner.wsBaselines.map(m => time(m.fitPredict(p.votes, seed = 1)))
@@ -159,10 +146,8 @@ final class Experiments(spark: SparkSession, val scale: Double) {
       val tDitto = time(DittoSim.run(p.textFeats, p.truth, seed = 1))
       n -> (tEm +: tWs :+ tZe :+ tAl :+ tDitto)
     }
-    def cell(d: Double) = if (d.isNaN) "-" else ff(d)
-    val rows = all.map { case (n, ts) => n +: ts.map(cell) } :+
-      ("Avg." +: (0 until header.size - 1).map(i => cell(avg(all.map(_._2(i)).filterNot(_.isNaN)))))
-    Table("Table 6: running time (seconds, this reproduction)", header, rows)
+    Grid("Table 6: running time (seconds, this reproduction)", "dataset",
+      ("SIMPLE-EM" +: Runner.wsBaselines.map(_.name)) ++ Seq("ZE", "AL-RF", "DittoSim"), rows, avgRow = true)
   }
 
   // --- Table 7: end model on SIMPLE-EM labels vs GT labels ------------------
@@ -189,9 +174,8 @@ final class Experiments(spark: SparkSession, val scale: Double) {
 
   // --- Table 8: transitivity handling ---------------------------------------
 
-  def table8(): Table = {
-    val header = Seq("dataset", "No trans", "SIMPLE-EM", "ZeroER Trans", "Postprocess")
-    val all = names.map { n =>
+  def table8(): Grid = {
+    val rows = names.map { n =>
       val p = prepared(n)
       val g0 = simpleGamma(n)
       val noTrans = p.f1(g0)
@@ -202,17 +186,8 @@ final class Experiments(spark: SparkSession, val scale: Double) {
         else p.f1Of(Transitivity.postprocessSingleTable(p.pairs, g0))
       n -> Seq(noTrans, em, zeTrans, post)
     }
-    val rows = all.map { case (n, s) => n +: s.map(ff) } :+
-      ("Avg." +: (0 until 4).map(i => ff(avg(all.map(_._2(i))))))
-    Table("Table 8: methods to handle transitivity (F1)", header, rows)
-  }
-
-  def table8Scores(): Map[String, Seq[Double]] = {
-    names.map { n =>
-      val p = prepared(n)
-      val g0 = simpleGamma(n)
-      n -> Seq(p.f1(g0), p.f1(simpleEmOut(n).gamma))
-    }.toMap
+    Grid("Table 8: methods to handle transitivity (F1)", "dataset",
+      Seq("No trans", "SIMPLE-EM", "ZeroER Trans", "Postprocess"), rows, avgRow = true)
   }
 
   // --- Table 9: injected transitivity violations ----------------------------
@@ -243,7 +218,7 @@ final class Experiments(spark: SparkSession, val scale: Double) {
     cur.toSet
   }
 
-  def table9(): Table = {
+  def table9(): Grid = {
     val xs = Seq(0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     val dsNames = Seq("M", "C")
     // Predictions are computed once; only the evaluation GT is corrupted.
@@ -254,20 +229,19 @@ final class Experiments(spark: SparkSession, val scale: Double) {
         "SN" -> p.predictedSet(SnorkelModel.fitPredict(p.votes, 0)),
         "MV" -> p.predictedSet(MajorityVote.fitPredict(p.votes, 0)))
     }.toMap
-    val methods = Seq("SIMPLE-EM", "SN", "MV")
-    val rows = methods.map { m =>
-      m +: xs.map { x =>
+    val rows = Seq("SIMPLE-EM", "SN", "MV").map { m =>
+      m -> xs.map { x =>
         val scores = dsNames.map { n =>
           val p = prepared(n)
           val ids = (p.pairs.map(_._1) ++ p.pairs.map(_._2)).distinct.toIndexedSeq
           val gt = corruptGt(p.ds.gt, ids, x, seed = 17)
           Metrics.f1(preds(n)(m), gt)
         }
-        ff(avg(scores))
+        avg(scores)
       }
     }
-    Table("Table 9: F1 under injected transitivity violations (avg of M, C)",
-      "method" +: xs.map(x => s"x=$x"), rows)
+    Grid("Table 9: F1 under injected transitivity violations (avg of M, C)", "method",
+      xs.map(x => s"x=$x"), rows)
   }
 
   // --- Table 10: data shift --------------------------------------------------
@@ -303,18 +277,17 @@ final class Experiments(spark: SparkSession, val scale: Double) {
 
   // --- Table 11: sensitivity to LFs ------------------------------------------
 
-  def table11(): Table = {
+  def table11(): Grid = {
     val scenarios = Seq(("Original", None, 1.0), ("RT+100%", Some(1L), 1.0),
       ("RT+80%", Some(2L), 0.8), ("RT+60%", Some(3L), 0.6), ("RT+40%", Some(4L), 0.4))
-    val methods: Seq[(String, Runner.Prepared => Double)] = Seq(
-      "SIMPLE-EM" -> { p =>
-        p.f1(Runner.simpleEm(p, seed = 0).gamma)
-      },
-      "MV"   -> { p => p.f1(MajorityVote.fitPredict(p.votes, 0)) },
-      "D&S"  -> { p => p.f1(DawidSkene.fitPredict(p.votes, 0)) },
-      "EBCC" -> { p => p.f1(Ebcc.fitPredict(p.votes, 0)) },
-      "SN"   -> { p => p.f1(SnorkelModel.fitPredict(p.votes, 0)) },
-      "FS"   -> { p => p.f1(FlyingSquid.fitPredict(p.votes, 0)) })
+    // The "Original" scenario is the cached dataset, so it reuses the cached SIMPLE-EM fit.
+    val methods: Seq[(String, Runner.Prepared => Array[Double])] =
+      ("SIMPLE-EM" -> { (p: Runner.Prepared) =>
+        val n = p.cfg.name
+        if (p eq prepared(n)) simpleEmOut(n).gamma else Runner.simpleEm(p, seed = 0).gamma
+      }) +: Seq(MajorityVote, DawidSkene, Ebcc, SnorkelModel, FlyingSquid).map { m =>
+        m.name -> { (p: Runner.Prepared) => m.fitPredict(p.votes, 0) }
+      }
 
     // Prepare per-scenario datasets (reusing the cached originals).
     val scenarioPrepared: Seq[(String, Seq[Runner.Prepared])] = scenarios.map {
@@ -331,44 +304,28 @@ final class Experiments(spark: SparkSession, val scale: Double) {
         label -> ps
     }
     val rows = methods.map { case (mName, run) =>
-      mName +: scenarioPrepared.map { case (_, ps) => ff(avg(ps.map(run))) }
+      mName -> scenarioPrepared.map { case (_, ps) => avg(ps.map(p => p.f1(run(p)))) }
     }
-    Table("Table 11: sensitivity to LFs (avg F1 over all datasets)",
-      "method" +: scenarios.map(_._1), rows)
+    Grid("Table 11: sensitivity to LFs (avg F1 over all datasets)", "method",
+      scenarios.map(_._1), rows)
   }
 
   // --- Table 12: WRENCH general weak supervision ------------------------------
 
-  def table12(): Table = {
-    val header = Seq("dataset", "# of LFs", "metric", "SIMPLE", "MV", "D&S", "EBCC", "FS", "SN")
+  def table12(): Grid = {
     val models: Seq[LabelModel] = Seq(Simple, MajorityVote, DawidSkene, Ebcc, FlyingSquid, SnorkelModel)
-    val all = WrenchGen.specs.map { spec =>
+    val specs = WrenchGen.specs
+    val scores = specs.map { spec =>
       val d = WrenchGen.generate(spec)
-      val scores = models.map { m =>
+      models.map { m =>
         val pred = LabelModel.harden(m.fitPredict(d.votes, seed = 0))
         val (f1v, acc) = Metrics.binary(pred, d.truth)
         if (spec.metric == "F1") f1v else acc
       }
-      (spec, scores)
     }
-    val rows = all.map { case (spec, s) =>
-      Seq(spec.name, spec.nLf.toString, spec.metric) ++ s.map(ff)
-    } :+ (Seq("Avg.", "-", "-") ++ (0 until models.size).map(i => ff(avg(all.map(_._2(i))))))
-    Table("Table 12: truth inference on general weak supervision tasks", header, rows)
-  }
-
-  def table12Scores(): Map[String, Map[String, Double]] = {
-    val methodNames = Seq("SIMPLE", "MV", "D&S", "EBCC", "FS", "SN")
-    val models: Seq[LabelModel] = Seq(Simple, MajorityVote, DawidSkene, Ebcc, FlyingSquid, SnorkelModel)
-    WrenchGen.specs.map { spec =>
-      val d = WrenchGen.generate(spec)
-      val scores = models.map { m =>
-        val pred = LabelModel.harden(m.fitPredict(d.votes, seed = 0))
-        val (f1v, acc) = Metrics.binary(pred, d.truth)
-        if (spec.metric == "F1") f1v else acc
-      }
-      spec.name -> methodNames.zip(scores).toMap
-    }.toMap
+    Grid("Table 12: truth inference on general weak supervision tasks",
+      Seq("dataset", "# of LFs", "metric"), models.map(_.name),
+      specs.map(spec => Seq(spec.name, spec.nLf.toString, spec.metric)), scores, avgRow = true)
   }
 
   // --- Table 13: duplicate-free detection -------------------------------------

@@ -22,28 +22,25 @@ object Runner {
     def cfg: EmDataGen.EmConfig = ds.cfg
     val candSet: Set[(Long, Long)] = pairs.toSet
 
+    private def matches(gamma: Array[Double]): Set[(Long, Long)] =
+      pairs.indices.collect { case i if gamma(i) >= 0.5 => pairs(i) }.toSet
+
+    /** Restricts a predicted pair set to the labeled scope on partial-GT datasets. */
+    private def scoped(predicted: Set[(Long, Long)]): Set[(Long, Long)] =
+      ds.evalScope.fold(predicted)(predicted.intersect)
+
     /** Predicted match set from soft labels (candidate pairs with γ ≥ 0.5),
       * restricted to the labeled scope on partial-GT datasets.
       */
-    def predictedSet(gamma: Array[Double]): Set[(Long, Long)] = {
-      val p = pairs.indices.collect { case i if gamma(i) >= 0.5 => pairs(i) }.toSet
-      ds.evalScope match {
-        case Some(scope) => p.intersect(scope)
-        case None        => p
-      }
-    }
+    def predictedSet(gamma: Array[Double]): Set[(Long, Long)] = scoped(matches(gamma))
 
     /** F1 against ground truth. GT matches lost by blocking count as false
       * negatives — honest end-to-end scoring.
       */
-    def f1(gamma: Array[Double]): Double = Metrics.f1(predictedSet(gamma), ds.evalTruth)
-    def prf(gamma: Array[Double]): Metrics.Prf = Metrics.prf(predictedSet(gamma), ds.evalTruth)
+    def f1(gamma: Array[Double]): Double = f1Of(matches(gamma))
 
     /** F1 for an explicit predicted pair set (postprocessing baselines). */
-    def f1Of(predicted: Set[(Long, Long)]): Double = {
-      val scoped = ds.evalScope.map(predicted.intersect).getOrElse(predicted)
-      Metrics.f1(scoped, ds.evalTruth)
-    }
+    def f1Of(predicted: Set[(Long, Long)]): Double = Metrics.f1(scoped(predicted), ds.evalTruth)
 
     def blockingRecall: Double = Blocking.recall(candSet, ds.gt)
   }

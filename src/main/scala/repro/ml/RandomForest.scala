@@ -11,11 +11,8 @@ import scala.util.Random
   * Trees are fitted in parallel on the shared fork-join pool; each tree
   * draws only from its own `Random`, seeded up front in tree order, so the
   * forest is the same on any number of cores.
-  * The model is a plain serializable case class so a fitted forest can be
-  * broadcast to Spark executors and applied as a UDF for distributed
-  * inference.
   */
-final case class RandomForestModel(trees: Vector[DecisionTree.Tree]) extends Serializable {
+final case class RandomForestModel(trees: Vector[DecisionTree.Tree]) {
   def predictProba(x: Array[Double]): Double = {
     var s = 0.0
     var i = 0

@@ -126,12 +126,6 @@ class LabelModelsSpec extends AnyFunSuite {
     assert(g.forall(_ >= 0.5))
   }
 
-  test("SIMPLE exposes the fitted forest after training") {
-    val s = new Simple(2, 5, Seq(2), Seq(0.0), identity, "SIMPLE")
-    s.fitPredict(balanced.votes, 0)
-    assert(s.lastModel.isDefined)
-  }
-
   test("SIMPLE constrain hook is applied to the E-step output") {
     val s = new Simple(3, 5, Seq(2), Seq(0.0), (g: Array[Double]) => g.map(_ => 0.0), "zeroed")
     val g = s.fitPredict(balanced.votes, 0)

@@ -43,11 +43,14 @@ class SimpleEmSpec extends AnyFunSuite {
   }
 
   test("forced both-dup-free constraint does not hurt, usually helps") {
-    val base = f1(Simple.fitPredict(votes, 0))
+    val plain = Simple.fitPredict(votes, 0)
+    val base = f1(plain)
     val out = SimpleEm.runTwoTable(votes, pairs, nEnt, nEnt, seed = 0,
       forced = Some(SimpleEm.BothDupFree))
     assert(out.strategy == SimpleEm.BothDupFree)
     assert(f1(out.gamma) >= base - 0.01, s"em=${f1(out.gamma)} base=$base")
+    // The run reports the plain SIMPLE fit it made, bit for bit.
+    assert(out.base.exists(java.util.Arrays.equals(_, plain)))
   }
 
   test("constrained output is a matching under both-dup-free") {
@@ -78,6 +81,7 @@ class SimpleEmSpec extends AnyFunSuite {
       solverCfg = SingleTableSolver.Config(iters = 80))
     assert(out.strategy == SimpleEm.SingleTable)
     assert(out.gamma.forall(p => p >= 0 && p <= 1))
+    assert(out.base.isEmpty)
   }
 
   test("transform round-trip: NoTrans is identity") {

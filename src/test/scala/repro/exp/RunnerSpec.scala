@@ -98,18 +98,4 @@ class RunnerSpec extends SparkSpec {
     assert(gamma.count(_ >= 0.5) ==
       sparkAgg.collect().head.getLong(0))
   }
-
-  test("distributed scoring via broadcast forest UDF matches driver scoring") {
-    val simple = new repro.core.Simple(3, 10, Seq(4), Seq(0.0), identity, "SIMPLE")
-    simple.fitPredict(fz.votes, 0)
-    val model = simple.lastModel.get
-    val voteCols = fz.lfs.indices.map(i => s"vote_$i")
-    val scored = repro.core.LabelMatrix.scoreDf(spark, fz.pairDf, voteCols, model)
-    val dfMap = scored.select("id1", "id2", "gamma").collect()
-      .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
-    fz.pairs.indices.foreach { i =>
-      val driver = model.predictProba(fz.votes(i).map(_.toDouble))
-      assert(math.abs(dfMap(fz.pairs(i)) - driver) < 1e-12)
-    }
-  }
 }
