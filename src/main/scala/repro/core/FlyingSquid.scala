@@ -10,6 +10,10 @@ package repro.core
   * (the standard better-than-random assumption). Labels are then aggregated
   * by a naive-Bayes vote with the MV-derived class prior. Abstentions are
   * conditioned away: moments use only rows where both LFs voted.
+  *
+  * Moments and signs are integer sums, taken over distinct vote patterns
+  * weighted by their counts; each symmetric moment is computed once. The
+  * aggregation runs once per pattern on two per-LF log terms.
   */
 object FlyingSquid extends LabelModel {
   val name = "FS"
@@ -17,62 +21,107 @@ object FlyingSquid extends LabelModel {
   def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = {
     val n = votes.length
     if (n == 0) return Array.empty
-    val m = votes(0).length
-    val p1 = MajorityVote.classPrior(votes)
-    val mv = MajorityVote.fitPredict(votes).map(g => if (g >= 0.5) 1 else -1)
+    val pats = VotePatterns(votes)
+    val m = pats.m
+    val pv = pats.votes
+    val p1 = MajorityVote.classPrior(pats)
+    val mv = MajorityVote.ofPatterns(pats)
 
-    // Pairwise second moments over mutually non-abstaining rows.
-    val moment = Array.fill(m, m)(0.0)
-    for (a <- 0 until m; b <- 0 until m if a != b) {
-      var s = 0.0; var c = 0
-      var i = 0
-      while (i < n) {
-        val va = votes(i)(a); val vb = votes(i)(b)
-        if (va != 0 && vb != 0) { s += va * vb; c += 1 }
-        i += 1
+    // Pairwise second moments over mutually non-abstaining rows, and each
+    // LF's agreement with majority vote where it fired.
+    val prod   = new Array[Long](m * m)
+    val both   = new Array[Int](m * m)
+    val agree  = new Array[Long](m)
+    val fired  = new Array[Int](m)
+    val voted  = new Array[Int](m)   // the LFs that fired on pattern p so far
+    var p = 0
+    while (p < pats.size) {
+      val w = pats.count(p)
+      val sign = if (mv(p) >= 0.5) 1 else -1
+      var k = 0
+      var j = 0
+      while (j < m) {
+        val v = pv(p * m + j)
+        if (v != 0) {
+          agree(j) += w.toLong * v * sign
+          fired(j) += w
+          var x = 0
+          while (x < k) {
+            val a = voted(x)
+            prod(a * m + j) += w.toLong * pv(p * m + a) * v
+            both(a * m + j) += w
+            x += 1
+          }
+          voted(k) = j
+          k += 1
+        }
+        j += 1
       }
-      moment(a)(b) = if (c < 5) 0.0 else s / c
+      p += 1
+    }
+    val moment = new Array[Double](m * m)
+    for (a <- 0 until m; b <- a + 1 until m if both(a * m + b) >= 5) {
+      moment(a * m + b) = prod(a * m + b).toDouble / both(a * m + b)
+      moment(b * m + a) = moment(a * m + b)
     }
 
     // Triplet estimates, median-aggregated per LF.
-    val acc = Array.tabulate(m) { a =>
-      val ests = for {
-        b <- 0 until m if b != a
-        c <- 0 until m if c != a && c != b
-        if math.abs(moment(b)(c)) > 1e-3
-      } yield math.sqrt(math.min(1.0, math.abs(moment(a)(b) * moment(a)(c) / moment(b)(c))))
-      val mag =
-        if (ests.isEmpty) 0.2
-        else { val s = ests.sorted; s(s.length / 2) }
-      // Sign from agreement with majority vote on non-abstain rows.
-      var agree = 0.0; var cnt = 0
-      var i = 0
-      while (i < n) {
-        if (votes(i)(a) != 0) { agree += votes(i)(a) * mv(i); cnt += 1 }
-        i += 1
+    val ests = new Array[Double](math.max(0, (m - 1) * (m - 2)))
+    val acc = new Array[Double](m)
+    var a = 0
+    while (a < m) {
+      var len = 0
+      var b = 0
+      while (b < m) {
+        if (b != a) {
+          var c = 0
+          while (c < m) {
+            val mbc = moment(b * m + c)
+            if (c != a && c != b && math.abs(mbc) > 1e-3) {
+              ests(len) = math.sqrt(math.min(1.0, math.abs(moment(a * m + b) * moment(a * m + c) / mbc)))
+              len += 1
+            }
+            c += 1
+          }
+        }
+        b += 1
       }
-      val sign = if (cnt == 0 || agree >= 0) 1.0 else -1.0
-      sign * math.min(0.98, math.max(0.02, mag))
+      val mag =
+        if (len == 0) 0.2
+        else { java.util.Arrays.sort(ests, 0, len); ests(len / 2) }
+      // Sign from agreement with majority vote on non-abstain rows.
+      val sign = if (fired(a) == 0 || agree(a) >= 0) 1.0 else -1.0
+      acc(a) = sign * math.min(0.98, math.max(0.02, mag))
+      a += 1
     }
 
     // Naive-Bayes aggregation: P(λ = y | λ != 0) = (1 + a) / 2.
-    Array.tabulate(n) { i =>
-      var l1 = math.log(p1); var l0 = math.log(1 - p1)
-      var j = 0
+    val logAgree    = new Array[Double](m)
+    val logDisagree = new Array[Double](m)
+    var j = 0
+    while (j < m) {
+      val pAgree = (1.0 + acc(j)) / 2.0
+      logAgree(j)    = math.log(math.max(1e-9, pAgree))
+      logDisagree(j) = math.log(math.max(1e-9, 1 - pAgree))
+      j += 1
+    }
+    val logP1 = math.log(p1); val logP0 = math.log(1 - p1)
+    val gamma = new Array[Double](pats.size)
+    p = 0
+    while (p < gamma.length) {
+      var l1 = logP1; var l0 = logP0
+      j = 0
       while (j < m) {
-        val v = votes(i)(j)
-        if (v != 0) {
-          val pAgree = (1.0 + acc(j)) / 2.0
-          val pPos = if (v == 1) pAgree else 1 - pAgree
-          val pNeg = if (v == -1) pAgree else 1 - pAgree
-          l1 += math.log(math.max(1e-9, pPos))
-          l0 += math.log(math.max(1e-9, pNeg))
-        }
+        val v = pv(p * m + j)
+        if (v == 1) { l1 += logAgree(j); l0 += logDisagree(j) }
+        else if (v == -1) { l1 += logDisagree(j); l0 += logAgree(j) }
         j += 1
       }
       val mx = math.max(l0, l1)
       val e1 = math.exp(l1 - mx); val e0 = math.exp(l0 - mx)
-      e1 / (e0 + e1)
+      gamma(p) = e1 / (e0 + e1)
+      p += 1
     }
+    pats.expand(gamma)
   }
 }

@@ -6,8 +6,10 @@ package repro.core
   *
   * Paper §3.1: every labeling model is a function ŷ = G(X, Θ), applied
   * row-wise. All implementations here operate on the matrix collected to the
-  * driver (a small sufficient statistic: m <= ~16 columns), while blocking,
-  * LF application and featurization run in Spark (see `exp.Runner.prepare`).
+  * driver (a small sufficient statistic: 4 to 83 columns on the EM and
+  * WRENCH benchmarks, with far fewer distinct rows than rows), while
+  * blocking, LF application and featurization run in Spark (see
+  * `exp.Runner.prepare`).
   */
 trait LabelModel {
   def name: String

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.wrench.WrenchGen
 import scala.util.Random
 
 /** Shared synthetic vote-matrix harness: LFs with known accuracies /
@@ -54,10 +55,35 @@ class LabelModelsSpec extends AnyFunSuite {
     assert(MajorityVote.classPrior(allNeg) == 0.01)
   }
 
+  private lazy val wrench = WrenchGen.specs.map(WrenchGen.generate)
+
+  private def inUnit(g: Array[Double]): Boolean = g.forall(p => p >= 0 && p <= 1)
+
   test("all models output probabilities in [0,1]") {
     models.foreach { m =>
-      val g = m.fitPredict(balanced.votes, 0)
-      assert(g.forall(p => p >= 0 && p <= 1), m.name)
+      assert(inUnit(m.fitPredict(balanced.votes, 0)), m.name)
+      wrench.foreach(d => assert(inUnit(m.fitPredict(d.votes, 0)), s"${m.name} on ${d.spec.name}"))
+    }
+  }
+
+  test("rows with identical votes receive identical γ") {
+    val inputs = (balanced.votes, "balanced") +: wrench.map(d => (d.votes, d.spec.name))
+    for (m <- models; (votes, label) <- inputs) {
+      val g = m.fitPredict(votes, 0)
+      val byRow = votes.indices.groupBy(i => votes(i).toSeq)
+      assert(byRow.values.forall(rows => rows.forall(i => g(i) == g(rows.head))), s"${m.name} on $label")
+    }
+  }
+
+  test("degenerate matrices: one row, no LFs, all abstain, one pattern") {
+    val inputs = Seq(
+      "n = 1"       -> Array(Array(1, -1, 0)),
+      "m = 0"       -> Array.fill(30)(Array.empty[Int]),
+      "all abstain" -> Array.fill(30)(Array(0, 0, 0, 0)),
+      "one pattern" -> Array.fill(30)(Array(1, 0, -1, 1)))
+    for (m <- models; (label, votes) <- inputs) {
+      val g = m.fitPredict(votes, 0)
+      assert(g.length == votes.length && inUnit(g), s"${m.name} on $label")
     }
   }
 
