@@ -2,11 +2,13 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 
-/** The SparkSession every entry point uses (unit tests, benches, jobs/), so
-  * all of them shuffle into the same partitions and collect candidate pairs
-  * in the same order, which the table numbers depend on. Broadcast joins are
-  * disabled so blocking exercises the shuffle path. SPARK_MASTER (default
-  * local[*]) and SPARK_SHUFFLE_PARTITIONS (default 64) override.
+/** The SparkSession every entry point uses (unit tests, benches, jobs/).
+  * `Runner.prepare` orders the collected candidate pairs by the shuffle
+  * partition of id2 under `spark.sql.shuffle.partitions`, and the table
+  * numbers depend on that order, so all entry points share this setting.
+  * Broadcast joins are disabled so blocking exercises the shuffle path.
+  * SPARK_MASTER (default local[*]) and SPARK_SHUFFLE_PARTITIONS (default 64)
+  * override.
   */
 object LocalSpark {
   def session(): SparkSession = SparkSession.builder

@@ -1,82 +1,60 @@
 package repro.emdata
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Magellan-style similarity feature engineering over the blocked pair
-  * table, as Spark column expressions. Consumed by the ZeroER baseline, the
+  * table (its attributes and the token signals of `Blocking.block`), as
+  * Spark column expressions. Consumed by the ZeroER baseline, the
   * active-learning comparator and the end models (DeepMatcher/Ditto
   * substitutes). Missing attributes are encoded with a -1 sentinel plus a
   * presence indicator, so tree models can branch on missingness.
   */
 object Features {
 
-  private val toks = udf((s: String) =>
-    if (s == null) Array.empty[String] else s.toLowerCase.split("\\s+").filter(_.nonEmpty).distinct)
-
-  private val jaccard = udf { (a: Seq[String], b: Seq[String]) =>
-    if (a.isEmpty && b.isEmpty) 0.0
-    else { val i = a.toSet.intersect(b.toSet).size.toDouble; i / (a.toSet ++ b.toSet).size }
-  }
-  private val containment = udf { (a: Seq[String], b: Seq[String]) =>
-    val m = math.min(a.size, b.size)
-    if (m == 0) 0.0 else a.toSet.intersect(b.toSet).size.toDouble / m
-  }
-  private val commonCount = udf { (a: Seq[String], b: Seq[String]) =>
-    a.toSet.intersect(b.toSet).size.toDouble
-  }
   // Rare "model number"-shaped tokens (letters+digits), the strongest signal.
   private val modelTok = udf { (a: Seq[String]) =>
     a.filter(t => t.exists(_.isDigit) && t.exists(_.isLetter)).sorted.mkString("|")
   }
 
-  val featureCols: Seq[String] = Seq(
-    "f_jaccard", "f_containment", "f_common", "f_lenratio",
-    "f_model_eq", "f_brand_eq",
-    "f_price_diff", "f_price_present",
-    "f_size_eq", "f_size_present",
-    "f_year_diff", "f_year_present")
+  private def missing(attr: String): Column = col(s"l_$attr").isNull || col(s"r_$attr").isNull
+
+  private def features: Seq[(String, Column)] = {
+    val (ltk, rtk) = (col("l_tokens"), col("r_tokens"))
+    Seq(
+      "f_jaccard" -> col("tok_jaccard"),
+      "f_containment" -> col("tok_containment"),
+      "f_common" -> col("tok_common").cast("double"),
+      "f_lenratio" ->
+        least(size(ltk), size(rtk)).cast("double") / greatest(size(ltk), size(rtk)).cast("double"),
+      "f_model_eq" ->
+        when(modelTok(ltk) === "" || modelTok(rtk) === "", -1.0)
+          .when(modelTok(ltk) === modelTok(rtk), 1.0).otherwise(0.0),
+      "f_brand_eq" ->
+        when(missing("brand"), -1.0).when(col("l_brand") === col("r_brand"), 1.0).otherwise(0.0),
+      "f_price_diff" ->
+        when(missing("price"), -1.0)
+          .otherwise(abs(col("l_price") - col("r_price")) /
+            greatest(col("l_price"), col("r_price"), lit(1e-9))),
+      "f_price_present" -> when(missing("price"), 0.0).otherwise(1.0),
+      "f_size_eq" ->
+        when(missing("size"), -1.0).when(col("l_size") === col("r_size"), 1.0).otherwise(0.0),
+      "f_size_present" -> when(missing("size"), 0.0).otherwise(1.0),
+      "f_year_diff" ->
+        when(missing("year"), -1.0)
+          .otherwise(least(abs(col("l_year") - col("r_year")).cast("double"), lit(10.0)) / 10.0),
+      "f_year_present" -> when(missing("year"), 0.0).otherwise(1.0))
+  }
+
+  val featureCols: Seq[String] = features.map(_._1)
 
   /** Text-only subset — what the Ditto substitute is allowed to see. */
   val textFeatureCols: Seq[String] = Seq(
     "f_jaccard", "f_containment", "f_common", "f_lenratio", "f_model_eq", "f_brand_eq")
 
-  /** Adds all feature columns to a blocked pair DataFrame. */
-  def withFeatures(pairDf: DataFrame): DataFrame = {
-    val withToks = pairDf
-      .withColumn("ltk", toks(col("l_name")))
-      .withColumn("rtk", toks(col("r_name")))
-    withToks
-      .withColumn("f_jaccard", jaccard(col("ltk"), col("rtk")))
-      .withColumn("f_containment", containment(col("ltk"), col("rtk")))
-      .withColumn("f_common", commonCount(col("ltk"), col("rtk")))
-      .withColumn("f_lenratio",
-        least(size(col("ltk")), size(col("rtk"))).cast("double") /
-          greatest(size(col("ltk")), size(col("rtk"))).cast("double"))
-      .withColumn("f_model_eq",
-        when(modelTok(col("ltk")) === "" || modelTok(col("rtk")) === "", -1.0)
-          .when(modelTok(col("ltk")) === modelTok(col("rtk")), 1.0).otherwise(0.0))
-      .withColumn("f_brand_eq",
-        when(col("l_brand").isNull || col("r_brand").isNull, -1.0)
-          .when(col("l_brand") === col("r_brand"), 1.0).otherwise(0.0))
-      .withColumn("f_price_diff",
-        when(col("l_price").isNull || col("r_price").isNull, -1.0)
-          .otherwise(abs(col("l_price") - col("r_price")) /
-            greatest(col("l_price"), col("r_price"), lit(1e-9))))
-      .withColumn("f_price_present",
-        when(col("l_price").isNull || col("r_price").isNull, 0.0).otherwise(1.0))
-      .withColumn("f_size_eq",
-        when(col("l_size").isNull || col("r_size").isNull, -1.0)
-          .when(col("l_size") === col("r_size"), 1.0).otherwise(0.0))
-      .withColumn("f_size_present",
-        when(col("l_size").isNull || col("r_size").isNull, 0.0).otherwise(1.0))
-      .withColumn("f_year_diff",
-        when(col("l_year").isNull || col("r_year").isNull, -1.0)
-          .otherwise(least(abs(col("l_year") - col("r_year")).cast("double"), lit(10.0)) / 10.0))
-      .withColumn("f_year_present",
-        when(col("l_year").isNull || col("r_year").isNull, 0.0).otherwise(1.0))
-      .drop("ltk", "rtk")
-  }
+  /** Adds all feature columns to a blocked pair table in one projection. */
+  def withFeatures(pairDf: DataFrame): DataFrame =
+    pairDf.select(col("*") +: features.map { case (name, c) => c.as(name) }: _*)
 
   /** Collect feature vectors aligned with pair ids. */
   def collect(featDf: DataFrame, cols: Seq[String] = featureCols): (Array[(Long, Long)], Array[Array[Double]]) = {

@@ -1,6 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{col, hash, lit, pmod}
 import repro.core._
 import repro.emdata.{Blocking, Datasets, EmDataGen, Features}
 import repro.lf.{LabelingFunctions, LfSuite}
@@ -11,6 +12,11 @@ import repro.zeroer.ZeroEr
   */
 object Runner {
 
+  /** A prepared dataset: the collected pair keys, votes and features, plus
+    * `pairDf`, the uncached Spark plan they were collected from (pair
+    * attributes, token signals, vote_i and feature columns). Each action on
+    * `pairDf` re-runs that plan; nothing is pinned in Spark's cache.
+    */
   final case class Prepared(ds: EmDataGen.EmDataset,
                             pairDf: DataFrame,
                             pairs: Array[(Long, Long)],
@@ -45,17 +51,25 @@ object Runner {
     def blockingRecall: Double = Blocking.recall(candSet, ds.gt)
   }
 
-  /** Generate + block + vote + featurize one dataset at `scale`. */
+  /** Generate + block + vote + featurize one dataset at `scale`, as one
+    * uncached Spark plan collected once.
+    *
+    * Pairs come back in a fixed order: by the shuffle partition of id2
+    * (`pmod(hash(id2), N)`, N = `spark.sql.shuffle.partitions`), then id2,
+    * then id1. SIMPLE's random streams follow the row order, so the order is
+    * part of every table's numbers; see DESIGN.md §3.
+    */
   def prepare(spark: SparkSession, cfg: EmDataGen.EmConfig, scale: Double,
               lfsOverride: Option[Seq[LabelingFunctions.Lf]] = None): Prepared = {
     val ds = EmDataGen.generate(spark, cfg, scale)
-    val blocked = Blocking.block(spark, ds)
     val lfs = lfsOverride.getOrElse(LfSuite.suite(cfg.name))
-    val (withVotes, voteCols) = LabelingFunctions.withVotes(blocked, lfs)
-    val full = Features.withFeatures(withVotes).cache()
-    val rows = full.select(
-      (Seq("id1", "id2") ++ voteCols ++ Features.featureCols).map(org.apache.spark.sql.functions.col): _*
-    ).collect()
+    val (withVotes, voteCols) = LabelingFunctions.withVotes(Blocking.block(spark, ds), lfs)
+    val full = Features.withFeatures(withVotes)
+    val nParts = spark.conf.get("spark.sql.shuffle.partitions").toInt
+    val cols = (Seq("id1", "id2") ++ voteCols ++ Features.featureCols).map(col)
+    val part = cols.size
+    val rows = full.select(cols :+ pmod(hash(col("id2")), lit(nParts)): _*).collect()
+      .sortBy(r => (r.getInt(part), r.getLong(1), r.getLong(0)))
     val pairs = rows.map(r => (r.getLong(0), r.getLong(1)))
     val votes = rows.map(r => Array.tabulate(voteCols.size)(i => r.getInt(i + 2)))
     val feats = rows.map(r =>

@@ -4,7 +4,8 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Labeling-function library: each LF is a Spark `Column` expression over
-  * the blocked pair table, evaluating to {-1, 0, +1} (non-match / abstain /
+  * the blocked pair table (its attributes and the token signals of
+  * `emdata.Blocking.block`), evaluating to {-1, 0, +1} (non-match / abstain /
   * match) — the Scala analogue of the user-written Python LFs in the paper's
   * Figure 1 (token-overlap thresholds, regex attribute extraction +
   * comparison, numeric difference tests). LF evaluation is therefore a
@@ -17,28 +18,17 @@ object LabelingFunctions {
     */
   final case class Lf(name: String, isNew: Boolean, column: Column)
 
-  private val toks = udf((s: String) =>
-    if (s == null) Array.empty[String] else s.toLowerCase.split("\\s+").filter(_.nonEmpty).distinct)
-  private val jaccardU = udf { (a: Seq[String], b: Seq[String]) =>
-    if (a.isEmpty && b.isEmpty) 0.0
-    else { val i = a.toSet.intersect(b.toSet).size.toDouble; i / (a.toSet ++ b.toSet).size }
-  }
-  private val containU = udf { (a: Seq[String], b: Seq[String]) =>
-    val m = math.min(a.size, b.size)
-    if (m == 0) 0.0 else a.toSet.intersect(b.toSet).size.toDouble / m
-  }
-  private val commonU = udf { (a: Seq[String], b: Seq[String]) => a.toSet.intersect(b.toSet).size }
+  // Token signals computed once per pair by `emdata.Blocking.block`.
+  private def jac = col("tok_jaccard")
+  private def cont = col("tok_containment")
+  private def comm = col("tok_common")
+  private val Ws = java.util.regex.Pattern.compile("\\s+")
+  private val ModelTok = java.util.regex.Pattern.compile("[a-z]+\\d+[a-z]*\\d*")
   // Regex-extract the rare model-number-shaped token (cf. size_unmatch in Fig 1).
   private val modelU = udf { (s: String) =>
     if (s == null) ""
-    else s.toLowerCase.split("\\s+").filter(_.matches("[a-z]+\\d+[a-z]*\\d*")).sorted.mkString("|")
+    else Ws.split(s.toLowerCase).filter(ModelTok.matcher(_).matches()).sorted.mkString("|")
   }
-
-  private def lt = toks(col("l_name"))
-  private def rt = toks(col("r_name"))
-  private def jac = jaccardU(lt, rt)
-  private def cont = containU(lt, rt)
-  private def comm = commonU(lt, rt)
 
   private def vote(c: Column): Column = c.cast("int")
 
@@ -93,12 +83,12 @@ object LabelingFunctions {
     Lf(name, isNew, vote(
       when(col("l_brand") === col("r_brand") && jac >= minJac, 1).otherwise(0)))
 
-  /** Apply a suite: appends vote_i columns; returns (df, voteCols). */
+  /** Apply a suite to a blocked pair table: appends vote_i columns in one
+    * projection; returns (df, voteCols).
+    */
   def withVotes(pairDf: DataFrame, lfs: Seq[Lf]): (DataFrame, Seq[String]) = {
     val voteCols = lfs.indices.map(i => s"vote_$i")
-    val df = lfs.zipWithIndex.foldLeft(pairDf) { case (d, (lf, i)) =>
-      d.withColumn(s"vote_$i", lf.column)
-    }
-    (df, voteCols)
+    val votes = lfs.zip(voteCols).map { case (lf, c) => lf.column.as(c) }
+    (pairDf.select(col("*") +: votes: _*), voteCols)
   }
 }

@@ -41,6 +41,35 @@ class BlockingFeaturesSpec extends SparkSpec {
     assert(none.isEmpty) // threshold above every count
   }
 
+  test("minOverlap counts distinct shared tokens, not repeated ones") {
+    import spark.implicits._
+    def rec(rid: Long, name: String) = EmDataGen.Rec(rid, rid, name, "acme", None, None, None)
+    val left  = Seq(rec(1, "aa aa bb"), rec(2, "aa bb")).toDF()
+    val right = Seq(rec(11, "aa cc"), rec(12, "bb Aa dd")).toDF()
+    val ds = EmDataGen.EmDataset(EmDataGen.EmConfig("T", twoTable = true, nEntities = 2),
+      left, right, 2, 2, Set.empty, None)
+    def pairs(minOverlap: Int) = Blocking.block(spark, ds, minOverlap).select("id1", "id2")
+      .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    assert(pairs(1) == Set((1L, 11L), (1L, 12L), (2L, 11L), (2L, 12L)))
+    // "aa aa bb" shares only "aa" with "aa cc": one distinct token.
+    assert(pairs(2) == Set((1L, 12L), (2L, 12L)))
+    assert(pairs(3).isEmpty)
+  }
+
+  test("token signals are computed from distinct lower-cased name tokens") {
+    import spark.implicits._
+    def rec(rid: Long, name: String) = EmDataGen.Rec(rid, rid, name, "acme", None, None, None)
+    val ds = EmDataGen.EmDataset(EmDataGen.EmConfig("T", twoTable = true, nEntities = 1),
+      Seq(rec(1, "aa aa bb")).toDF(), Seq(rec(11, "bb Aa dd")).toDF(), 1, 1, Set.empty, None)
+    val r = Blocking.block(spark, ds)
+      .select("l_tokens", "r_tokens", "tok_common", "tok_jaccard", "tok_containment").head()
+    assert(r.getSeq[String](0) == Seq("aa", "bb"))
+    assert(r.getSeq[String](1) == Seq("bb", "aa", "dd"))
+    assert(r.getInt(2) == 2)
+    assert(r.getDouble(3) == 2.0 / 3)
+    assert(r.getDouble(4) == 1.0)
+  }
+
   test("oracle: candidate pair count matches DuckDB token-join") {
     // Cross-check the blocker's pair generation against an equivalent SQL
     // formulation in DuckDB over an exploded token table.

@@ -62,6 +62,20 @@ class RunnerSpec extends SparkSpec {
     assert(scoped.subsetOf(ir.ds.evalScope.get))
   }
 
+  test("degenerate inputs: empty tables give no pairs and empty model outputs") {
+    val cases = Seq(
+      "FZ without right records" -> Datasets.FZ.copy(pRight = 0.0),
+      "FZ without records" -> Datasets.FZ.copy(pLeft = 0.0, pRight = 0.0),
+      "M without records" -> Datasets.M.copy(pLeft = 0.0))
+    cases.foreach { case (what, cfg) =>
+      val p = Runner.prepare(spark, cfg, scale = 0.25)
+      assert(p.pairs.isEmpty && p.votes.isEmpty && p.feats.isEmpty && p.truth.isEmpty, what)
+      Runner.wsBaselines.foreach(m => assert(m.fitPredict(p.votes).isEmpty, s"$what: ${m.name}"))
+      assert(Runner.zeroEr(p).isEmpty, s"$what: ZeroER")
+      assert(Runner.simpleEm(p).gamma.isEmpty, s"$what: SIMPLE-EM")
+    }
+  }
+
   test("oracle: majority-vote labels via Spark SQL match DuckDB") {
     // Express MV as SQL over the vote columns and cross-check on DuckDB.
     val voteCols = fz.lfs.indices.map(i => s"vote_$i")
