@@ -24,5 +24,5 @@ object BenchEnv {
   */
 trait BenchSpec extends SparkSpec {
   def exp: Experiments = BenchEnv.exp(spark)
-  def show(t: repro.exp.TableFmt.Table): Unit = { println(); println(t.render); println() }
+  def show(g: repro.exp.TableFmt.Grid): Unit = { println(); println(g.render); println() }
 }

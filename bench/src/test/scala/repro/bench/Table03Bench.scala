@@ -7,7 +7,7 @@ package repro.bench
 class Table03OverallBench extends BenchSpec {
   test("Table 3: SIMPLE-EM has the best average F1 across methods") {
     val g = exp.table3()
-    show(g.table)
+    show(g)
     val avgs = g.columns.map(m => m -> g.avg(m)).toMap
     info(avgs.map { case (m, a) => f"$m=$a%.3f" }.mkString(" "))
     val bestBaseline = (avgs - "SIMPLE-EM").values.max

@@ -6,7 +6,7 @@ package repro.bench
 class Table04DittoBench extends BenchSpec {
   test("Table 4: SIMPLE-EM is competitive with the supervised Ditto substitute") {
     val g = exp.table4()
-    show(g.table)
+    show(g)
     val em    = g.row("SIMPLE-EM")
     val ditto = g.row("DittoSim")
     val emAvg = em.sum / em.size; val dAvg = ditto.sum / ditto.size
@@ -22,21 +22,21 @@ class Table04DittoBench extends BenchSpec {
   */
 class Table05ActiveLearningBench extends BenchSpec {
   test("Table 5: AL needs many labels to match SIMPLE-EM, if at all") {
-    val t = exp.table5()
-    show(t)
-    assert(t.rows.size == exp.table5Datasets.size)
-    t.rows.foreach { r =>
-      if (r(2) != "-") {
-        val labels = r(2).toInt
-        assert(labels >= 20, s"${r.head}: AL matched with suspiciously few labels")
-      }
+    val g = exp.table5()
+    show(g)
+    assert(g.rows.size == exp.table5Datasets.size)
+    // NaN where AL never matched SIMPLE-EM (rendered "-").
+    def labels(n: String): Double = g(n, "# labels to match")
+    g.rows.foreach { n =>
+      if (!labels(n).isNaN)
+        assert(labels(n) >= 20, s"$n: AL matched with suspiciously few labels")
     }
     // The paper's qualitative point at our scale: AL must label a
     // non-trivial fraction of the candidate set (or fail outright) on most
     // datasets. (The paper's absolute label counts are 100x ours because its
     // candidate sets are 100x larger; percentages are the comparable shape.)
-    val costly = t.rows.count { r =>
-      r(2) == "-" || r(3).dropRight(1).toDouble >= 2.0 || r(2).toInt > 100
+    val costly = g.rows.count { n =>
+      labels(n).isNaN || g(n, "% of labels") >= 0.02 || labels(n) > 100
     }
     assert(costly >= 4, s"AL matched too cheaply on too many datasets ($costly costly)")
   }
@@ -49,7 +49,7 @@ class Table05ActiveLearningBench extends BenchSpec {
 class Table06RuntimeBench extends BenchSpec {
   test("Table 6: runtime ordering matches the paper's shape") {
     val g = exp.table6()
-    show(g.table)
+    show(g)
     val avg = g.columns.map(c => c -> g.avg(c)).toMap
     info(avg.map { case (k, v) => f"$k=$v%.2f" }.mkString(" "))
     assert(avg("MV") <= avg("SIMPLE-EM"), "MV should be cheaper than SIMPLE-EM")
@@ -61,14 +61,11 @@ class Table06RuntimeBench extends BenchSpec {
 /** Table 7 — DeepMatcher-substitute end model on SIMPLE-EM labels vs GT. */
 class Table07EndModelBench extends BenchSpec {
   test("Table 7: end model on weak labels approaches the GT-trained model") {
-    val t = exp.table7()
-    show(t)
-    val gaps = t.rows.map { r =>
-      val weak = r(1).toDouble; val conv = r(3).toDouble
-      (r.head, weak, conv)
-    }
-    val avgWeak = gaps.map(_._2).sum / gaps.size
-    val avgConv = gaps.map(_._3).sum / gaps.size
+    val g = exp.table7()
+    show(g)
+    val weak = g.col("F1 on SIMPLE-EM labels"); val conv = g.col("converged F1")
+    val avgWeak = weak.sum / weak.size
+    val avgConv = conv.sum / conv.size
     info(f"avg weak-label F1 $avgWeak%.3f vs converged GT F1 $avgConv%.3f")
     // Paper: weak-label end model is on average ~3% below the converged
     // GT-trained model. Allow slack, but the gap must not be catastrophic.

@@ -7,7 +7,7 @@ package repro.bench
 class Table08TransitivityBench extends BenchSpec {
   test("Table 8: SIMPLE-EM transitivity beats greedy and postprocessing on average") {
     val g = exp.table8()
-    show(g.table)
+    show(g)
     val Seq(noTrans, simpleEm, zeTrans, post) = g.columns.map(g.avg)
     info(f"no-trans=$noTrans%.3f simple-em=$simpleEm%.3f zeroer-trans=$zeTrans%.3f post=$post%.3f")
     assert(simpleEm >= noTrans - 1e-9, "transitivity must not hurt on average")
@@ -22,7 +22,7 @@ class Table08TransitivityBench extends BenchSpec {
 class Table09ViolationsBench extends BenchSpec {
   test("Table 9: SIMPLE-EM dominates under GT corruption; scores decline in x") {
     val g = exp.table9()
-    show(g.table)
+    show(g)
     val byMethod = g.rows.map(m => m -> g.row(m)).toMap
     // Monotone-ish decline for every method.
     byMethod.foreach { case (m, xs) =>
@@ -40,14 +40,14 @@ class Table09ViolationsBench extends BenchSpec {
   */
 class Table10DataShiftBench extends BenchSpec {
   test("Table 10: LFs save more effort under shift than manual-label transfer") {
-    val t = exp.table10()
-    show(t)
-    t.rows.foreach { r =>
-      val manual = r(1).dropRight(1).toDouble / 100
-      val lfs    = r(2).dropRight(1).toDouble / 100
-      info(s"${r.head}: manual=$manual lfs=$lfs")
-      assert(lfs >= 0.6, s"${r.head}: LF reuse should save >=60%")
-      assert(lfs >= manual - 0.05, s"${r.head}: LFs should beat manual transfer")
+    val g = exp.table10()
+    show(g)
+    g.rows.foreach { n =>
+      val manual = g(n, "manual labeling")
+      val lfs    = g(n, "LFs")
+      info(s"$n: manual=$manual lfs=$lfs")
+      assert(lfs >= 0.6, s"$n: LF reuse should save >=60%")
+      assert(lfs >= manual - 0.05, s"$n: LFs should beat manual transfer")
     }
   }
 }

@@ -1,12 +1,14 @@
 package repro.bench
 
+import repro.exp.TableFmt.{Pair, flag}
+
 /** Table 11 — sensitivity to LF randomization/sampling. Paper shape: every
   * method degrades as LFs are perturbed and removed; SIMPLE-EM stays on top.
   */
 class Table11SensitivityBench extends BenchSpec {
   test("Table 11: SIMPLE-EM stays best as LFs are randomized and thinned") {
     val g = exp.table11()
-    show(g.table)
+    show(g)
     val byMethod = g.rows.map(m => m -> g.row(m)).toMap
     val scen = g.columns
     // SIMPLE-EM leads every scenario (allow small noise at RT+40%).
@@ -36,7 +38,7 @@ class Table11SensitivityBench extends BenchSpec {
 class Table12WrenchBench extends BenchSpec {
   test("Table 12: SIMPLE is at the top and never collapses on WRENCH analogues") {
     val g = exp.table12()
-    show(g.table)
+    show(g)
     val avgs = g.columns.map(m => m -> g.avg(m)).toMap
     info(avgs.map { case (m, a) => f"$m=$a%.3f" }.mkString(" "))
     val bestOther = (avgs - "SIMPLE").values.max
@@ -55,15 +57,16 @@ class Table12WrenchBench extends BenchSpec {
   */
 class Table13DupFreeBench extends BenchSpec {
   test("Table 13: detection separates dup-free from duplicated tables") {
-    val t = exp.table13()
-    show(t)
-    val byDs = t.rows.map(r => r.head -> r).toMap
+    val g = exp.table13()
+    show(g)
+    def detected(n: String) = g.cell(n, "dup-free pred (L,R)")
     // Datasets generated WITH duplicates must not be called dup-free on the
     // duplicated side.
-    assert(byDs("DS")(3).startsWith("F"), s"DS left has heavy dups: ${byDs("DS")(3)}")
+    val Pair(dsLeft, _) = detected("DS")
+    assert(dsLeft == flag(false), s"DS left has heavy dups: ${detected("DS").render}")
     // Datasets generated duplicate-free should be detected as such.
     Seq("FZ", "DA").foreach { n =>
-      assert(byDs(n)(3) == "T, T", s"$n should be detected dup-free: ${byDs(n)(3)}")
+      assert(detected(n) == Pair(flag(true), flag(true)), s"$n should be detected dup-free: ${detected(n).render}")
     }
   }
 }

@@ -12,7 +12,7 @@ import repro.exp.Experiments
   * a job prints the same table as its bench at the same scale.
   */
 object JobHarness {
-  def run(args: Array[String])(body: Experiments => repro.exp.TableFmt.Table): Unit = {
+  def run(args: Array[String])(body: Experiments => repro.exp.TableFmt.Grid): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(0.5)
     val spark = LocalSpark.session()
     try println(body(new Experiments(spark, scale)).render)
@@ -22,14 +22,14 @@ object JobHarness {
 
 object Table01Datasets     { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table1()) }
 object Table02LfStats      { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table2()) }
-object Table03Overall      { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table3().table) }
-object Table04Ditto        { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table4().table) }
+object Table03Overall      { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table3()) }
+object Table04Ditto        { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table4()) }
 object Table05ActiveLearn  { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table5()) }
-object Table06Runtime      { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table6().table) }
+object Table06Runtime      { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table6()) }
 object Table07EndModel     { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table7()) }
-object Table08Transitivity { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table8().table) }
-object Table09Violations   { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table9().table) }
+object Table08Transitivity { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table8()) }
+object Table09Violations   { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table9()) }
 object Table10DataShift    { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table10()) }
-object Table11Sensitivity  { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table11().table) }
-object Table12Wrench       { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table12().table) }
+object Table11Sensitivity  { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table11()) }
+object Table12Wrench       { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table12()) }
 object Table13DupFree      { def main(a: Array[String]): Unit = JobHarness.run(a)(_.table13()) }

@@ -1,16 +1,13 @@
 package repro.baselines
 
-import repro.ml.{RandomForest, Smote}
-import scala.util.Random
-
 /** Ditto comparator substitute (DESIGN.md substitution #6).
   *
   * Ditto fine-tunes a pretrained language model on a labeled split of the
   * candidate set. Offline we keep the experimental role — a supervised
   * text-signal-only classifier trained on a random 3:1:1 split with GT
-  * labels, evaluated on the held-out test split — using a random forest
-  * over text-derived features (no numeric/categorical attribute access,
-  * mirroring Ditto's sequence-only view of a pair).
+  * labels, evaluated on the held-out test split — using the [[EndModel]]
+  * forest over text-derived features only (no numeric/categorical attribute
+  * access, mirroring Ditto's sequence-only view of a pair).
   */
 object DittoSim {
 
@@ -19,19 +16,6 @@ object DittoSim {
   /** Train on a random 3/5 of (features, truth), evaluate F1 on a 1/5 test
     * split (the middle 1/5 plays the validation role; unused by RF).
     */
-  def run(textFeatures: Array[Array[Double]], truth: Array[Int], seed: Long = 0): Result = {
-    val n = textFeatures.length
-    val rng = new Random(seed)
-    val perm = rng.shuffle((0 until n).toVector)
-    val trainIdx = perm.take(3 * n / 5).toArray
-    val testIdx  = perm.drop(4 * n / 5).toArray
-    val trX0 = trainIdx.map(textFeatures); val trY0 = trainIdx.map(truth)
-    if (trY0.distinct.length < 2 || testIdx.isEmpty) return Result(0.0)
-    val (trX, trY) = Smote.balance(trX0, trY0, seed = seed)
-    val model = RandomForest.fit(trX, trY, RandomForest.Params(numTrees = 30, maxDepth = 8), seed)
-    val pred = testIdx.map(i => model.predict(textFeatures(i)))
-    val actual = testIdx.map(truth)
-    val (f1, _) = repro.core.Metrics.binary(pred, actual)
-    Result(f1)
-  }
+  def run(textFeatures: Array[Array[Double]], truth: Array[Int], seed: Long = 0): Result =
+    Result(EndModel.trainEval(textFeatures, truth, truth, EndModel.split(textFeatures.length, seed), seed))
 }

@@ -3,20 +3,18 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{ActiveLearning, DittoSim, EndModel}
 import repro.core._
-import repro.emdata.{Datasets, EmDataGen, Features}
+import repro.emdata.Datasets
 import repro.lf.LfSuite
 import repro.wrench.WrenchGen
 import repro.zeroer.ZeroEr
-import TableFmt.{Grid, Table, f => ff, pct}
+import TableFmt._
 
 import scala.collection.mutable
 import scala.util.Random
 
 /** One function per reproduced evaluation table, each computing its numbers
-  * once. The numeric tables (3, 4, 6, 8, 9, 11, 12) return a
-  * [[TableFmt.Grid]]: bench suites assert on its unrounded cells and print
-  * its rendering, as the jobs/ entrypoints do. Tables 1, 2, 5, 7, 10 and 13
-  * mix text into their cells and return a [[TableFmt.Table]] directly.
+  * once into a [[TableFmt.Grid]]: bench suites assert on its typed, unrounded
+  * cells and print its rendering, as the jobs/ entrypoints do.
   *
   * Prepared datasets and SIMPLE/SIMPLE-EM outputs are memoized per dataset
   * within an instance, since several tables share them. Plain SIMPLE reuses
@@ -40,32 +38,30 @@ final class Experiments(spark: SparkSession, val scale: Double) {
 
   private def names: Seq[String] = Datasets.all.map(_.name)
 
-  private def avg(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
-
   // --- Table 1: benchmark dataset statistics -------------------------------
 
-  def table1(): Table = {
+  def table1(): Grid = {
     val rows = names.map { n =>
       val p = prepared(n)
-      val nm = p.ds.gt.size
-      val tuples = if (p.cfg.twoTable) s"${p.ds.nLeft}, ${p.ds.nRight}" else s"${p.ds.nLeft}"
-      val labeled = p.ds.partial.map { case (m, nn) => s"${m.size}, ${nn.size}" }.getOrElse(s"$nm, -")
-      Seq(n, tuples, labeled, "6", p.pairs.length.toString, ff(p.blockingRecall))
+      val tuples = if (p.cfg.twoTable) Pair(Count(p.ds.nLeft), Count(p.ds.nRight)) else Count(p.ds.nLeft)
+      val labeled = p.ds.partial.map { case (m, nn) => Pair(Count(m.size), Count(nn.size)) }
+        .getOrElse(Pair(Count(p.ds.gt.size), dash))
+      n -> Seq(tuples, labeled, Count(6), Count(p.pairs.length), Num(p.blockingRecall))
     }
-    Table("Table 1: dataset statistics (synthetic analogues)",
-      Seq("dataset", "# tuples L,R", "N_M, N_Non", "# attr", "candset size", "recall"), rows)
+    Grid.ofCells("Table 1: dataset statistics (synthetic analogues)", "dataset",
+      Seq("# tuples L,R", "N_M, N_Non", "# attr", "candset size", "recall"), rows)
   }
 
   // --- Table 2: LF development effort --------------------------------------
 
-  def table2(): Table = {
+  def table2(): Grid = {
     val rows = names.map { n =>
       val lfs = prepared(n).lfs
       val paperMin = LfSuite.paperMinutes(n)
-      Seq(n, lfs.size.toString, lfs.count(_.isNew).toString, s"$paperMin (paper; human effort N/A offline)")
+      n -> Seq(Count(lfs.size), Count(lfs.count(_.isNew)), Text(s"$paperMin (paper; human effort N/A offline)"))
     }
-    Table("Table 2: LF development effort",
-      Seq("dataset", "# of LFs", "# of new LFs", "time spent, minutes"), rows)
+    Grid.ofCells("Table 2: LF development effort", "dataset",
+      Seq("# of LFs", "# of new LFs", "time spent, minutes"), rows)
   }
 
   // --- Table 3: overall labeling performance -------------------------------
@@ -99,7 +95,7 @@ final class Experiments(spark: SparkSession, val scale: Double) {
   /** Full-GT datasets only (paper excludes IR/YY/ABN). */
   val table5Datasets: Seq[String] = Seq("FZ", "DA", "DS", "AB", "AG", "WA", "M", "C")
 
-  def table5(maxLabels: Int = 1500): Table = {
+  def table5(maxLabels: Int = 1500): Grid = {
     val rows = table5Datasets.map { n =>
       val p = prepared(n)
       val target = p.f1(simpleEmOut(n).gamma)
@@ -117,13 +113,13 @@ final class Experiments(spark: SparkSession, val scale: Double) {
         eval(p.feats.map(m.predictProba))
       }
       val (lbl, pctLbl, humanMin) = reached match {
-        case Some(k) => (k.toString, pct(k.toDouble / p.pairs.length), ff(k * 3.0 / 60))
-        case None    => ("-", "-", "-")
+        case Some(k) => (Count(k), Pct(k.toDouble / p.pairs.length), Num(k * 3.0 / 60))
+        case None    => (dash, dash, dash)
       }
-      Seq(n, ff(target), lbl, pctLbl, humanMin, ff(allF1), p.pairs.length.toString)
+      n -> Seq(Num(target), lbl, pctLbl, humanMin, Num(allF1), Count(p.pairs.length))
     }
-    Table("Table 5: comparison to active learning",
-      Seq("dataset", "SIMPLE-EM", "# labels to match", "% of labels", "human min", "F1 all labels", "# labels total"),
+    Grid.ofCells("Table 5: comparison to active learning", "dataset",
+      Seq("SIMPLE-EM", "# labels to match", "% of labels", "human min", "F1 all labels", "# labels total"),
       rows)
   }
 
@@ -152,7 +148,7 @@ final class Experiments(spark: SparkSession, val scale: Double) {
 
   // --- Table 7: end model on SIMPLE-EM labels vs GT labels ------------------
 
-  def table7(): Table = {
+  def table7(): Grid = {
     val budgets = Seq(25, 50, 100, 200, 400, 800, 1600, 3200, 6400, 12800)
     val rows = names.map { n =>
       val p = prepared(n)
@@ -160,15 +156,15 @@ final class Experiments(spark: SparkSession, val scale: Double) {
       val weakLabels = LabelModel.harden(simpleEmOut(n).gamma)
       val weakF1 = EndModel.trainEval(p.feats, weakLabels, p.truth, splits, seed = 0)
       val sweep = EndModel.gtSweep(p.feats, p.truth, splits, budgets, seed = 0)
-      val toMatch = sweep.find(_._2 >= weakF1).map(_._1.toString).getOrElse("-")
+      val toMatch = sweep.find(_._2 >= weakF1).map(s => Count(s._1)).getOrElse(dash)
       val converged = sweep.lastOption.map(_._2).getOrElse(0.0)
       val convergedAt = sweep.reverse
         .takeWhile { case (_, f1v) => f1v >= converged - 0.005 }
-        .lastOption.map(_._1.toString).getOrElse("-")
-      Seq(n, ff(weakF1), toMatch, ff(converged), convergedAt)
+        .lastOption.map(s => Count(s._1)).getOrElse(dash)
+      n -> Seq(Num(weakF1), toMatch, Num(converged), convergedAt)
     }
-    Table("Table 7: end model trained on SIMPLE-EM labels vs GT labels",
-      Seq("dataset", "F1 on SIMPLE-EM labels", "# GT labels to match", "converged F1", "# GT labels at convergence"),
+    Grid.ofCells("Table 7: end model trained on SIMPLE-EM labels vs GT labels", "dataset",
+      Seq("F1 on SIMPLE-EM labels", "# GT labels to match", "converged F1", "# GT labels at convergence"),
       rows)
   }
 
@@ -237,7 +233,7 @@ final class Experiments(spark: SparkSession, val scale: Double) {
           val gt = corruptGt(p.ds.gt, ids, x, seed = 17)
           Metrics.f1(preds(n)(m), gt)
         }
-        avg(scores)
+        mean(scores)
       }
     }
     Grid("Table 9: F1 under injected transitivity violations (avg of M, C)", "method",
@@ -246,7 +242,7 @@ final class Experiments(spark: SparkSession, val scale: Double) {
 
   // --- Table 10: data shift --------------------------------------------------
 
-  def table10(maxLabels: Int = 1200): Table = {
+  def table10(maxLabels: Int = 1200): Grid = {
     val shifts = Seq(("DA", "DS"), ("AB", "AG"), ("AB", "WA"))
     val rows = shifts.map { case (src, tgt) =>
       val ps = prepared(src)
@@ -269,10 +265,10 @@ final class Experiments(spark: SparkSession, val scale: Double) {
       }
       val n1 = needed(alone); val n2 = needed(warm)
       val manualSaved = if (n1 == 0) 0.0 else (n1 - n2).toDouble / n1
-      Seq(s"$src-$tgt", pct(manualSaved), pct(lfSaved))
+      s"$src-$tgt" -> Seq(Pct(manualSaved), Pct(lfSaved))
     }
-    Table("Table 10: saved labeling effort under data shift",
-      Seq("data shift", "manual labeling", "LFs"), rows)
+    Grid.ofCells("Table 10: saved labeling effort under data shift", "data shift",
+      Seq("manual labeling", "LFs"), rows)
   }
 
   // --- Table 11: sensitivity to LFs ------------------------------------------
@@ -304,7 +300,7 @@ final class Experiments(spark: SparkSession, val scale: Double) {
         label -> ps
     }
     val rows = methods.map { case (mName, run) =>
-      mName -> scenarioPrepared.map { case (_, ps) => avg(ps.map(p => p.f1(run(p)))) }
+      mName -> scenarioPrepared.map { case (_, ps) => mean(ps.map(p => p.f1(run(p)))) }
     }
     Grid("Table 11: sensitivity to LFs (avg F1 over all datasets)", "method",
       scenarios.map(_._1), rows)
@@ -325,12 +321,12 @@ final class Experiments(spark: SparkSession, val scale: Double) {
     }
     Grid("Table 12: truth inference on general weak supervision tasks",
       Seq("dataset", "# of LFs", "metric"), models.map(_.name),
-      specs.map(spec => Seq(spec.name, spec.nLf.toString, spec.metric)), scores, avgRow = true)
+      specs.map(spec => Seq(spec.name, spec.nLf.toString, spec.metric)), scores.map(_.map(Num)), avgRow = true)
   }
 
   // --- Table 13: duplicate-free detection -------------------------------------
 
-  def table13(): Table = {
+  def table13(): Grid = {
     val rows = Datasets.twoTable.map(_.name).map { n =>
       val p = prepared(n)
       // GT duplicate counts, estimated from cross-table matching pairs as in
@@ -344,20 +340,19 @@ final class Experiments(spark: SparkSession, val scale: Double) {
       val (gl, gr) = dups(p.ds.gt)
       val predMatches = p.pairs.indices.filter(simpleGamma(n)(_) >= 0.5).map(p.pairs)
       val (pl, pr) = dups(predMatches.toSet)
-      val ldf = DupFreeDetect.leftDupFree(predMatches, p.ds.nRight)
-      val rdf = DupFreeDetect.rightDupFree(predMatches, p.ds.nLeft)
+      val out = simpleEmOut(n)
       val helpful = {
-        val em = p.f1(simpleEmOut(n).gamma); val no = p.f1(simpleGamma(n))
+        val em = p.f1(out.gamma); val no = p.f1(simpleGamma(n))
         if (em > no + 1e-9) "Yes" else if (em < no - 1e-9) "No" else "Same"
       }
-      Seq(n,
-        if (partial) "-" else s"$gl, $gr",
-        if (partial) "-" else s"$pl, $pr",
-        s"${if (ldf.dupFree) "T" else "F"}, ${if (rdf.dupFree) "T" else "F"}",
-        helpful)
+      n -> Seq(
+        if (partial) dash else Pair(Count(gl), Count(gr)),
+        if (partial) dash else Pair(Count(pl), Count(pr)),
+        Pair(flag(out.leftDupFree), flag(out.rightDupFree)),
+        Text(helpful))
     }
-    Table("Table 13: duplicate-free detection on two-table datasets",
-      Seq("dataset", "GT dups (L,R)", "pred dups from M (L,R)", "dup-free pred (L,R)", "dup-free solution helpful?"),
+    Grid.ofCells("Table 13: duplicate-free detection on two-table datasets", "dataset",
+      Seq("GT dups (L,R)", "pred dups from M (L,R)", "dup-free pred (L,R)", "dup-free solution helpful?"),
       rows)
   }
 }

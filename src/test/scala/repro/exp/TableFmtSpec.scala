@@ -1,10 +1,11 @@
 package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
+import TableFmt._
 
 class TableFmtSpec extends AnyFunSuite {
 
-  private val t = TableFmt.Table("Demo", Seq("a", "bb"), Seq(Seq("1", "2"), Seq("333", "4")))
+  private val t = Grid.ofCells("Demo", "a", Seq("bb"), Seq("1" -> Seq(Count(2)), "333" -> Seq(Count(4))))
 
   test("render contains title, header and all cells") {
     val r = t.render
@@ -25,44 +26,88 @@ class TableFmtSpec extends AnyFunSuite {
   }
 
   test("f formats to three decimals") {
-    assert(TableFmt.f(0.12345) == "0.123")
-    assert(TableFmt.f(1.0) == "1.000")
+    assert(Num(0.12345).render == "0.123")
+    assert(Num(1.0).render == "1.000")
   }
 
   test("pct formats to one decimal percent") {
-    assert(TableFmt.pct(0.625) == "62.5%")
-    assert(TableFmt.pct(-0.232) == "-23.2%")
+    assert(Pct(0.625).render == "62.5%")
+    assert(Pct(-0.232).render == "-23.2%")
   }
 
   test("ragged rows do not crash rendering") {
-    val ragged = TableFmt.Table("R", Seq("x", "y"), Seq(Seq("only")))
+    val ragged = Grid("R", Seq("x", "y"), Seq.empty, Seq(Seq("only")), Seq(Seq.empty), avgRow = false)
     assert(ragged.render.contains("only"))
   }
 
-  private val g = TableFmt.Grid("G", Seq("ds", "n"), Seq("a", "b"),
-    Seq(Seq("x", "3"), Seq("y", "5")), Seq(Seq(0.12345, Double.NaN), Seq(0.5, 0.25)), avgRow = true)
+  test("counts, text, pairs and missing values render as the tables print them") {
+    assert(Count(5464).render == "5464")
+    assert(Text("Same").render == "Same")
+    assert(Pair(Count(240), Count(560)).render == "240, 560")
+    assert(Pair(Count(66), dash).render == "66, -")
+    assert(Pair(flag(false), flag(true)).render == "F, T")
+    assert(dash.render == "-")
+    assert(Num(Double.NaN).render == "-")
+  }
+
+  test("cell values: numbers for numeric kinds, NaN for text and pairs") {
+    assert(Count(7).value == 7.0)
+    assert(Pct(0.625).value == 0.625)
+    assert(Num(0.12345).value == 0.12345)
+    assert(Text("Yes").value.isNaN && dash.value.isNaN && Pair(Count(1), Count(2)).value.isNaN)
+  }
+
+  private val g = Grid("G", Seq("ds", "n"), Seq("a", "b"),
+    Seq(Seq("x", "3"), Seq("y", "5")), Seq(Seq(Num(0.12345), Num(Double.NaN)), Seq(Num(0.5), Num(0.25))),
+    avgRow = true)
 
   test("a grid renders like the hand-built table of its formatted cells") {
-    import TableFmt.f
-    val expected = TableFmt.Table("G", Seq("ds", "n", "a", "b"), Seq(
-      Seq("x", "3", f(0.12345), "-"),
-      Seq("y", "5", f(0.5), f(0.25)),
-      Seq("Avg.", "-", f((0.12345 + 0.5) / 2), f(0.25))))
-    assert(g.table == expected)
-    assert(g.table.render == expected.render)
+    val expected =
+      """== G ==
+        || ds   | n | a     | b     |
+        ||------|---|-------|-------|
+        || x    | 3 | 0.123 | -     |
+        || y    | 5 | 0.500 | 0.250 |
+        || Avg. | - | 0.312 | 0.250 |""".stripMargin
+    assert(g.render == expected)
+  }
+
+  test("a mixed-cell grid renders like the hand-built string table it replaces") {
+    val mixed = Grid.ofCells("Mixed", "dataset", Seq("# tuples L,R", "N_M, N_Non", "% of labels", "dup-free", "helpful?"),
+      Seq("DS" -> Seq(Pair(Count(120), Count(300)), Pair(Count(66), dash), Pct(0.0231), Pair(flag(false), flag(true)),
+              Text("No")),
+          "M" -> Seq(Count(900), Pair(Count(7), Count(8)), dash, dash, Text("Same"))))
+    val expected =
+      """== Mixed ==
+        || dataset | # tuples L,R | N_M, N_Non | % of labels | dup-free | helpful? |
+        ||---------|--------------|------------|-------------|----------|----------|
+        || DS      | 120, 300     | 66, -      | 2.3%        | F, T     | No       |
+        || M       | 900          | 7, 8       | -           | -        | Same     |""".stripMargin
+    assert(mixed.render == expected)
+    assert(mixed.cell("DS", "dup-free") == Pair(flag(false), flag(true)))
+    assert(mixed("M", "# tuples L,R") == 900.0)
+    assert(mixed("M", "% of labels").isNaN)
   }
 
   test("the grid's Avg. row skips NaN cells") {
     assert(g.avg("a") == (0.12345 + 0.5) / 2)
     assert(g.avg("b") == 0.25)
-    val allNaN = TableFmt.Grid("N", "ds", Seq("a"), Seq("x" -> Seq(Double.NaN)), avgRow = true)
+    val allNaN = Grid("N", "ds", Seq("a"), Seq("x" -> Seq(Double.NaN)), avgRow = true)
     assert(allNaN.avg("a").isNaN)
-    assert(allNaN.table.rows.last == Seq("Avg.", "-"))
+    assert(allNaN.render.linesIterator.toVector.last == "| Avg. | - |")
+  }
+
+  test("avg skips text, pair and NaN cells") {
+    val m = Grid.ofCells("M", "ds", Seq("c"),
+      Seq("x" -> Seq(Count(2)), "y" -> Seq(dash), "z" -> Seq(Num(Double.NaN)), "w" -> Seq(Pct(0.5)),
+          "v" -> Seq(Pair(Count(1), Count(9)))))
+    assert(m.avg("c") == 1.25)
+    assert(mean(Seq.empty).isNaN)
   }
 
   test("NaN grid cells render as -") {
-    assert(g.table.rows.head(3) == "-")
-    assert(!g.table.render.contains("NaN"))
+    assert(g.render.linesIterator.toVector(3).endsWith("| -     |"))
+    assert(!g.render.contains("NaN"))
   }
 
   test("grid lookup by row and column returns the unrounded value") {
