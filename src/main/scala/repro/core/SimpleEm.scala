@@ -68,11 +68,8 @@ object SimpleEm {
 
   /** Full SIMPLE-EM on a single-table dataset. */
   def runSingleTable(votes: Array[Array[Int]], pairs: Array[(Long, Long)],
-                     seed: Long = 0,
-                     solverCfg: SingleTableSolver.Config = SingleTableSolver.Config()): Output = {
-    val simple = new Simple(
-      constrain = SingleTableSolver.constrain(pairs, _, solverCfg),
-      name = "SIMPLE-EM")
+                     seed: Long = 0): Output = {
+    val simple = new Simple(constrain = transform(SingleTable, pairs), name = "SIMPLE-EM")
     Output(simple.fitPredict(votes, seed), SingleTable, leftDupFree = false, rightDupFree = false,
       base = None)
   }

@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.ml.UnionFind
 import scala.util.Random
 
 /** Constrained E-step for single-table EM (paper §4.3).
@@ -15,8 +14,8 @@ import scala.util.Random
   * small, so we run that solver directly at inference time: same optimum the
   * network approximates, minus the approximation error (substitution #4 in
   * DESIGN.md). Components are formed exactly as in the paper — edges with
-  * γ* > 0.5 — and oversized components fall back to the paper's neighbor
-  * sampling scheme.
+  * γ* > 0.5, split by [[Transitivity.components]] — and oversized
+  * components fall back to the paper's neighbor sampling scheme.
   */
 object SingleTableSolver {
 
@@ -27,50 +26,33 @@ object SingleTableSolver {
   def constrain(pairs: Array[(Long, Long)], gammaStar: Array[Double],
                 cfg: Config = Config()): Array[Double] = {
     val out = gammaStar.clone()
-    if (pairs.isEmpty) return out
-
-    val nodes = pairs.flatMap(p => Seq(p._1, p._2)).distinct
-    val nodeIdx = nodes.zipWithIndex.toMap
-    val uf = new UnionFind(nodes.length)
-    pairs.indices.foreach { i =>
-      if (gammaStar(i) > 0.5) uf.union(nodeIdx(pairs(i)._1), nodeIdx(pairs(i)._2))
-    }
-    val compOf = Array.tabulate(nodes.length)(uf.find)
-    val pairsByComp = pairs.indices.groupBy { i =>
-      // A pair is constrained within a component only if both ends are in it.
-      val c1 = compOf(nodeIdx(pairs(i)._1)); val c2 = compOf(nodeIdx(pairs(i)._2))
-      if (c1 == c2) c1 else -1
-    }
-
     val rng = new Random(cfg.seed)
-    for ((comp, pidx) <- pairsByComp if comp >= 0) {
-      val members = nodes.indices.filter(compOf(_) == comp).map(nodes)
-      if (members.size >= 3) {
-        if (members.size <= cfg.maxComponent) {
-          val solved = solveComponent(members.toArray, pidx.map(i => (pairs(i), gammaStar(i))), cfg)
-          pidx.foreach { i =>
-            val key = norm(pairs(i))
-            solved.get(key).foreach(out(i) = _)
+    for ((members, comp) <- Transitivity.components(pairs, gammaStar) if members.length >= 3) {
+      val pidx = comp.toSeq
+      if (members.length <= cfg.maxComponent) {
+        val solved = solveComponent(members, pidx.map(i => (pairs(i), gammaStar(i))), cfg)
+        pidx.foreach { i =>
+          val key = norm(pairs(i))
+          solved.get(key).foreach(out(i) = _)
+        }
+      } else {
+        // Paper's fallback: per predicted-match edge, sample neighbourhoods
+        // of both endpoints, solve each sample, average the edge's value.
+        val adj = members.map(m => m -> pidx.filter(i => pairs(i)._1 == m || pairs(i)._2 == m)).toMap
+        pidx.filter(gammaStar(_) > 0.5).foreach { e =>
+          val (a, b) = pairs(e)
+          val neighbours = (adj(a) ++ adj(b)).flatMap(i => Seq(pairs(i)._1, pairs(i)._2))
+            .distinct.filterNot(x => x == a || x == b)
+          var acc = 0.0; var cnt = 0
+          for (_ <- 0 until cfg.samplesPerEdge) {
+            val sample = (Seq(a, b) ++ rng.shuffle(neighbours).take(cfg.maxComponent - 2)).toArray
+            val inSample = sample.toSet
+            val sub = pidx.filter(i => inSample(pairs(i)._1) && inSample(pairs(i)._2))
+                          .map(i => (pairs(i), gammaStar(i)))
+            val solved = solveComponent(sample, sub, cfg)
+            solved.get(norm(pairs(e))).foreach { v => acc += v; cnt += 1 }
           }
-        } else {
-          // Paper's fallback: per predicted-match edge, sample neighbourhoods
-          // of both endpoints, solve each sample, average the edge's value.
-          val adj = members.map(m => m -> pidx.filter(i => pairs(i)._1 == m || pairs(i)._2 == m)).toMap
-          pidx.filter(gammaStar(_) > 0.5).foreach { e =>
-            val (a, b) = pairs(e)
-            val neighbours = (adj(a) ++ adj(b)).flatMap(i => Seq(pairs(i)._1, pairs(i)._2))
-              .distinct.filterNot(x => x == a || x == b)
-            var acc = 0.0; var cnt = 0
-            for (_ <- 0 until cfg.samplesPerEdge) {
-              val sample = (Seq(a, b) ++ rng.shuffle(neighbours).take(cfg.maxComponent - 2)).toArray
-              val inSample = sample.toSet
-              val sub = pidx.filter(i => inSample(pairs(i)._1) && inSample(pairs(i)._2))
-                            .map(i => (pairs(i), gammaStar(i)))
-              val solved = solveComponent(sample, sub, cfg)
-              solved.get(norm(pairs(e))).foreach { v => acc += v; cnt += 1 }
-            }
-            if (cnt > 0) out(e) = acc / cnt
-          }
+          if (cnt > 0) out(e) = acc / cnt
         }
       }
     }

@@ -1,12 +1,12 @@
 package repro.core
 
-import repro.ml.Assignment
+import repro.ml.{Assignment, UnionFind}
 
 /** Exact transitivity solutions for two-table EM (paper §4.2) plus the
   * baseline transitivity handlers compared in Table 8 (ZeroER-style greedy
   * projection and traditional postprocessing).
   *
-  * All functions map the unconstrained E-step probabilities γ* to
+  * The transforms map the unconstrained E-step probabilities γ* to
   * constrained γ**, aligned with the `pairs` array of (leftId, rightId).
   */
 object Transitivity {
@@ -124,36 +124,66 @@ object Transitivity {
     * probabilities (the dedupe-library approach the paper cites); predicted
     * matches are all intra-cluster pairs. Pairs outside the candidate set
     * contribute similarity 0 to the linkage.
+    *
+    * Clustering runs per predicted-match component: a linkage across two
+    * components averages values ≤ 0.5, so it never passes the > 0.5 merge
+    * test, and a merge in one component leaves every other component's
+    * linkages untouched. Each component's tuples start in ascending order,
+    * so ties break as in one global loop over all tuples.
     */
-  def postprocessSingleTable(pairs: Array[(Long, Long)], gamma: Array[Double]): Set[(Long, Long)] = {
-    val sim = pairs.indices.map { i =>
-      val (a, b) = pairs(i); (math.min(a, b), math.max(a, b)) -> gamma(i)
-    }.toMap
-    val nodes = pairs.flatMap(p => Seq(p._1, p._2)).distinct.sorted
-    var clusters: Vector[Vector[Long]] = nodes.map(Vector(_)).toVector
+  def postprocessSingleTable(pairs: Array[(Long, Long)], gamma: Array[Double]): Set[(Long, Long)] =
+    components(pairs, gamma).flatMap { case (tuples, pidx) =>
+      val sim = pidx.map { i =>
+        val (a, b) = pairs(i); (math.min(a, b), math.max(a, b)) -> gamma(i)
+      }.toMap
+      var clusters: Vector[Vector[Long]] = tuples.sorted.map(Vector(_)).toVector
 
-    def linkage(c1: Vector[Long], c2: Vector[Long]): Double = {
-      var s = 0.0
-      for (a <- c1; b <- c2) s += sim.getOrElse((math.min(a, b), math.max(a, b)), 0.0)
-      s / (c1.size * c2.size)
-    }
+      def linkage(c1: Vector[Long], c2: Vector[Long]): Double = {
+        var s = 0.0
+        for (a <- c1; b <- c2) s += sim.getOrElse((math.min(a, b), math.max(a, b)), 0.0)
+        s / (c1.size * c2.size)
+      }
 
-    var merged = true
-    while (merged && clusters.size > 1) {
-      var bi = -1; var bj = -1; var bs = 0.5 // only merge above the match threshold
-      for (i <- clusters.indices; j <- (i + 1) until clusters.size) {
-        val l = linkage(clusters(i), clusters(j))
-        if (l > bs) { bs = l; bi = i; bj = j }
+      var merged = true
+      while (merged && clusters.size > 1) {
+        var bi = -1; var bj = -1; var bs = 0.5 // only merge above the match threshold
+        for (i <- clusters.indices; j <- (i + 1) until clusters.size) {
+          val l = linkage(clusters(i), clusters(j))
+          if (l > bs) { bs = l; bi = i; bj = j }
+        }
+        if (bi < 0) merged = false
+        else {
+          val c = clusters(bi) ++ clusters(bj)
+          clusters = clusters.zipWithIndex.collect { case (cl, k) if k != bi && k != bj => cl } :+ c
+        }
       }
-      if (bi < 0) merged = false
-      else {
-        val c = clusters(bi) ++ clusters(bj)
-        clusters = clusters.zipWithIndex.collect { case (cl, k) if k != bi && k != bj => cl } :+ c
+      clusters.filter(_.size > 1).flatMap { c =>
+        for (i <- c.indices; j <- (i + 1) until c.size)
+          yield (math.min(c(i), c(j)), math.max(c(i), c(j)))
       }
-    }
-    clusters.filter(_.size > 1).flatMap { c =>
-      for (i <- c.indices; j <- (i + 1) until c.size)
-        yield (math.min(c(i), c(j)), math.max(c(i), c(j)))
     }.toSet
+
+  /** Connected components of the predicted-match graph (edges with
+    * γ > 0.5), the unit both single-table consumers work on (paper §4.3).
+    * Each component is its tuples, in first-occurrence order over `pairs`,
+    * and the indices of the pairs with both ends inside it, in pair order.
+    * Components come in order of their first tuple; tuples with no
+    * predicted match belong to none.
+    */
+  def components(pairs: Array[(Long, Long)], gamma: Array[Double]): Seq[(Array[Long], Array[Int])] = {
+    val nodes = pairs.flatMap(p => Array(p._1, p._2)).distinct
+    val nodeIdx = nodes.zipWithIndex.toMap
+    val ends = pairs.map(p => (nodeIdx(p._1), nodeIdx(p._2)))
+    val uf = new UnionFind(nodes.length)
+    val matched = new Array[Boolean](nodes.length)
+    for (i <- pairs.indices if gamma(i) > 0.5) {
+      val (a, b) = ends(i); uf.union(a, b); matched(a) = true; matched(b) = true
+    }
+    // Each matched tuple's component root; -1 for the unmatched ones.
+    val root = Array.tabulate(nodes.length)(k => if (matched(k)) uf.find(k) else -1)
+    val inside = pairs.indices.groupBy { i => val (a, b) = ends(i); if (root(a) == root(b)) root(a) else -1 }
+    nodes.indices.filter(matched(_)).groupBy(root(_)).toSeq.sortBy(_._2.head).map { case (r, ks) =>
+      (ks.map(nodes).toArray, inside(r).toArray)
+    }
   }
 }

@@ -99,8 +99,7 @@ object Datasets {
   /** All 11 analogues in the paper's Table 1 order. */
   val all: Vector[EmConfig] = Vector(FZ, DA, DS, AB, AG, WA, IR, YY, ABN, M, C)
 
-  val twoTable: Vector[EmConfig]    = all.filter(_.twoTable)
-  val singleTable: Vector[EmConfig] = all.filterNot(_.twoTable)
+  val twoTable: Vector[EmConfig] = all.filter(_.twoTable)
 
   def byName(name: String): EmConfig =
     all.find(_.name == name).getOrElse(sys.error(s"unknown dataset $name"))

@@ -55,12 +55,4 @@ object Features {
   /** Adds all feature columns to a blocked pair table in one projection. */
   def withFeatures(pairDf: DataFrame): DataFrame =
     pairDf.select(col("*") +: features.map { case (name, c) => c.as(name) }: _*)
-
-  /** Collect feature vectors aligned with pair ids. */
-  def collect(featDf: DataFrame, cols: Seq[String] = featureCols): (Array[(Long, Long)], Array[Array[Double]]) = {
-    val rows = featDf.select((Seq("id1", "id2") ++ cols).map(col): _*).collect()
-    val ids = rows.map(r => (r.getLong(0), r.getLong(1)))
-    val xs  = rows.map(r => Array.tabulate(cols.size)(i => r.getDouble(i + 2)))
-    (ids, xs)
-  }
 }

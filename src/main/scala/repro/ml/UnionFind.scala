@@ -30,8 +30,4 @@ final class UnionFind(n: Int) {
       true
     }
   }
-
-  /** Members of each component, keyed by representative. */
-  def components(): Map[Int, Vector[Int]] =
-    (0 until n).groupBy(find).map { case (k, v) => k -> v.toVector }
 }

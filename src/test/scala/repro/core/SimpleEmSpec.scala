@@ -77,8 +77,7 @@ class SimpleEmSpec extends AnyFunSuite {
   test("single-table run applies the numerical solver and returns probabilities") {
     // Reinterpret the fixture as single-table pairs.
     val stPairs = pairs.map { case (a, b) => (a, b + 5000) }
-    val out = SimpleEm.runSingleTable(votes, stPairs, seed = 0,
-      solverCfg = SingleTableSolver.Config(iters = 80))
+    val out = SimpleEm.runSingleTable(votes, stPairs, seed = 0)
     assert(out.strategy == SimpleEm.SingleTable)
     assert(out.gamma.forall(p => p >= 0 && p <= 1))
     assert(out.base.isEmpty)

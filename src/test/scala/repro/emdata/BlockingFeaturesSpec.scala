@@ -151,12 +151,6 @@ class BlockingFeaturesSpec extends SparkSpec {
     assert(mAvg > nAvg + 0.1, s"match=$mAvg non=$nAvg")
   }
 
-  test("Features.collect aligns ids and vectors") {
-    val (ids, xs) = Features.collect(fzFeat)
-    assert(ids.length == fzFeat.count())
-    assert(xs.forall(_.length == Features.featureCols.size))
-  }
-
   test("text feature subset is a projection of the full set") {
     val idx = Features.textFeatureCols.map(Features.featureCols.indexOf)
     assert(idx.forall(_ >= 0))
