@@ -17,12 +17,14 @@ object DupFreeDetect {
 
   final case class Result(dupFree: Boolean, observedDistinct: Int, matches: Int)
 
+  private val C    = 0.05 // the test's level
+  private val Reps = 400  // simulated draws per candidate x
+
   /** Detect whether the LEFT table is duplicate-free, from predicted matches
     * M and the right-table size. (Left dups ⇒ a right tuple repeats in M.)
     * Swap the pair orientation to test the right table.
     */
-  def leftDupFree(matches: Seq[(Long, Long)], nRight: Long,
-                  c: Double = 0.05, reps: Int = 400, seed: Long = 11): Result = {
+  def leftDupFree(matches: Seq[(Long, Long)], nRight: Long, seed: Long = 11): Result = {
     val mSize = matches.size
     val dObs  = matches.map(_._2).distinct.size
     if (mSize == 0 || dObs == mSize) return Result(dupFree = true, dObs, mSize)
@@ -34,7 +36,7 @@ object DupFreeDetect {
     val xs = (0 to mSize by step) :+ mSize
 
     // Empirical distribution of d_r for a given count x of true positives.
-    def simulate(x: Int): Array[Int] = Array.fill(reps) {
+    def simulate(x: Int): Array[Int] = Array.fill(Reps) {
       val seen = new java.util.HashSet[Long]()
       var d = x // the x true positives are distinct by the null hypothesis
       var k = 0
@@ -51,7 +53,7 @@ object DupFreeDetect {
     var bestX = 0; var bestLik = -1.0; var bestDist: Array[Int] = null
     for (x <- xs.distinct if x <= dObs) {
       val dist = simulate(x)
-      val lik  = dist.count(_ == dObs).toDouble / reps
+      val lik  = dist.count(_ == dObs).toDouble / Reps
       if (lik > bestLik) { bestLik = lik; bestX = x; bestDist = dist }
     }
     if (bestDist == null) return Result(dupFree = false, dObs, mSize)
@@ -59,8 +61,8 @@ object DupFreeDetect {
     // value (d_r = x exactly), the strict tail P(d < obs) is 0 even though
     // the observation is perfectly explained — mid-p keeps the test biased
     // toward not rejecting, per the paper's design.
-    val pBelow = (bestDist.count(_ < dObs) + 0.5 * bestDist.count(_ == dObs)) / reps
-    Result(dupFree = pBelow >= c, dObs, mSize)
+    val pBelow = (bestDist.count(_ < dObs) + 0.5 * bestDist.count(_ == dObs)) / Reps
+    Result(dupFree = pBelow >= C, dObs, mSize)
   }
 
   /** Maps a raw `nextLong` draw to a right-tuple id in 1..n (n >= 1):
@@ -70,7 +72,6 @@ object DupFreeDetect {
   private[core] def drawId(r: Long, n: Long): Long = 1 + math.floorMod(math.abs(r), n)
 
   /** Detect whether the RIGHT table is duplicate-free. */
-  def rightDupFree(matches: Seq[(Long, Long)], nLeft: Long,
-                   c: Double = 0.05, reps: Int = 400, seed: Long = 13): Result =
-    leftDupFree(matches.map(p => (p._2, p._1)), nLeft, c, reps, seed)
+  def rightDupFree(matches: Seq[(Long, Long)], nLeft: Long, seed: Long = 13): Result =
+    leftDupFree(matches.map(p => (p._2, p._1)), nLeft, seed)
 }

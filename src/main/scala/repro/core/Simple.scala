@@ -18,15 +18,14 @@ import repro.ml.{CrossVal, RandomForest, Smote}
   * returns the constrained γ**; identity for plain SIMPLE.
   */
 class Simple(maxIters: Int = 10,
-                   numTrees: Int = 25,
-                   depths: Seq[Int] = Seq(2, 4, 6, 9),
-                   alphas: Seq[Double] = Seq(0.0, 0.001, 0.01),
-                   constrain: Array[Double] => Array[Double] = identity,
-                   override val name: String = "SIMPLE") extends LabelModel {
+             constrain: Array[Double] => Array[Double] = identity,
+             override val name: String = "SIMPLE") extends LabelModel {
 
-  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = {
+  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = fit(votes, seed).gamma
+
+  def fit(votes: Array[Array[Int]], seed: Long = 0L): Simple.Fit = {
     val n = votes.length
-    if (n == 0) return Array.empty
+    if (n == 0) return Simple.Fit(Array.empty, converged = true)
     val xs = votes.map(_.map(_.toDouble))
     var gamma = constrain(MajorityVote.fitPredict(votes))
     var iter = 0
@@ -37,8 +36,8 @@ class Simple(maxIters: Int = 10,
       else {
         // M-step: balance with SMOTE, select capacity by CV, fit the forest.
         val (bx, by)  = Smote.balance(xs, y, k = 5, seed = seed + iter)
-        val params    = CrossVal.selectRfParams(bx, by, depths, alphas,
-                                                folds = 3, numTrees = numTrees,
+        val params    = CrossVal.selectRfParams(bx, by, Simple.Depths, Simple.Alphas,
+                                                folds = 3, numTrees = Simple.NumTrees,
                                                 seed = seed + 31 * iter)
         val model     = RandomForest.fit(bx, by, params, seed = seed + 97 * iter)
         // E-step: predict on the ORIGINAL rows, then apply the constraint.
@@ -49,8 +48,17 @@ class Simple(maxIters: Int = 10,
       }
       iter += 1
     }
-    gamma
+    Simple.Fit(gamma, converged)
   }
 }
 
-object Simple extends Simple(10, 25, Seq(2, 4, 6, 9), Seq(0.0, 0.001, 0.01), identity, "SIMPLE")
+/** Plain SIMPLE (Scala 2.13 rejects default arguments in this super call). */
+object Simple extends Simple(10, identity, "SIMPLE") {
+  /** `converged`: EM met its stop test (< 0.1% flips, or one class) before the round cap. */
+  final case class Fit(gamma: Array[Double], converged: Boolean)
+
+  // The forest size and the capacity grid CV searches over.
+  private val NumTrees = 25
+  private val Depths   = Seq(2, 4, 6, 9)
+  private val Alphas   = Seq(0.0, 0.001, 0.01)
+}

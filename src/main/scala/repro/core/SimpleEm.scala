@@ -3,14 +3,14 @@ package repro.core
 /** SIMPLE-EM (paper §4): SIMPLE with the transitivity constraint folded into
   * every E-step via the free-energy formulation.
   *
-  * Two-table flow: run plain SIMPLE once, use its predicted matches to run
-  * the duplicate-free hypothesis test on each table (appendix 8.1), pick the
-  * matching exact solution (argmax per tuple when one table is
-  * duplicate-free; assignment when both are; no constraint when neither is),
-  * then rerun the EM loop with that constraint in the E-step.
-  *
-  * Single-table flow: the constraint transform is the numerical minimizer of
-  * Eq. 7 over connected components ([[SingleTableSolver]]).
+  * One flow for both kinds of dataset: fit plain SIMPLE, pick the constraint,
+  * then rerun the EM loop from majority vote with that constraint in the
+  * E-step. On a two-table dataset the plain fit's predicted matches feed the
+  * duplicate-free hypothesis test on each table (appendix 8.1), which picks
+  * the matching exact solution (argmax per tuple when one table is
+  * duplicate-free; assignment when both are; no constraint when neither is).
+  * On a single-table dataset the constraint is always the numerical minimizer
+  * of Eq. 7 over connected components ([[SingleTableSolver]]).
   */
 object SimpleEm {
 
@@ -21,14 +21,13 @@ object SimpleEm {
   case object BothDupFree   extends Strategy { def describe = "both-dup-free"   }
   case object SingleTable   extends Strategy { def describe = "single-table"    }
 
-  /** `base` is the plain SIMPLE fit a two-table run makes before choosing its
-    * strategy (`None` for single-table runs, which make none).
+  /** `gamma` and `converged` come from the constrained fit (`base` under `NoTrans`); `base` is
+    * the plain SIMPLE fit every run makes first. Single-table runs set no duplicate-free flag.
     */
-  final case class Output(gamma: Array[Double], strategy: Strategy,
-                          leftDupFree: Boolean, rightDupFree: Boolean,
-                          base: Option[Array[Double]])
+  final case class Output(gamma: Array[Double], converged: Boolean, strategy: Strategy,
+                          leftDupFree: Boolean, rightDupFree: Boolean, base: Array[Double])
 
-  /** Constraint transform for a chosen two-table strategy. */
+  /** Constraint transform for a chosen strategy. */
   def transform(strategy: Strategy, pairs: Array[(Long, Long)]): Array[Double] => Array[Double] =
     strategy match {
       case NoTrans      => identity
@@ -38,39 +37,26 @@ object SimpleEm {
       case SingleTable  => SingleTableSolver.constrain(pairs, _)
     }
 
-  /** Full SIMPLE-EM on a two-table dataset. `nLeft`/`nRight` are table sizes
-    * for the duplicate-free hypothesis tests. A strategy can be forced (e.g.
-    * when duplicate-freeness is known a priori) via `forced`.
+  /** Full SIMPLE-EM. `tables` holds the (left, right) table sizes of a
+    * two-table dataset, which the duplicate-free tests need; `None` marks a
+    * single-table dataset.
     */
-  def runTwoTable(votes: Array[Array[Int]], pairs: Array[(Long, Long)],
-                  nLeft: Long, nRight: Long, seed: Long = 0,
-                  forced: Option[Strategy] = None): Output = {
-    val base = Simple.fitPredict(votes, seed)
-    val matches = pairs.indices.filter(base(_) >= 0.5).map(pairs)
-    val ldf = DupFreeDetect.leftDupFree(matches, nRight, seed = seed + 1)
-    val rdf = DupFreeDetect.rightDupFree(matches, nLeft, seed = seed + 2)
-    val strategy = forced.getOrElse {
-      (ldf.dupFree, rdf.dupFree) match {
-        case (true, true)   => BothDupFree
-        case (true, false)  => LeftDupFree
-        case (false, true)  => RightDupFree
-        case (false, false) => NoTrans
-      }
+  def run(votes: Array[Array[Int]], pairs: Array[(Long, Long)],
+          tables: Option[(Long, Long)], seed: Long = 0): Output = {
+    val base = Simple.fit(votes, seed)
+    val (strategy, ldf, rdf) = tables match {
+      case None => (SingleTable, false, false)
+      case Some((nLeft, nRight)) =>
+        val matches = pairs.indices.filter(base.gamma(_) >= 0.5).map(pairs)
+        val ldf = DupFreeDetect.leftDupFree(matches, nRight, seed = seed + 1).dupFree
+        val rdf = DupFreeDetect.rightDupFree(matches, nLeft, seed = seed + 2).dupFree
+        val strategy =
+          if (ldf && rdf) BothDupFree else if (ldf) LeftDupFree else if (rdf) RightDupFree else NoTrans
+        (strategy, ldf, rdf)
     }
-    val gamma = strategy match {
-      case NoTrans => base
-      case s =>
-        val simple = new Simple(constrain = transform(s, pairs), name = "SIMPLE-EM")
-        simple.fitPredict(votes, seed)
-    }
-    Output(gamma, strategy, ldf.dupFree, rdf.dupFree, Some(base))
-  }
-
-  /** Full SIMPLE-EM on a single-table dataset. */
-  def runSingleTable(votes: Array[Array[Int]], pairs: Array[(Long, Long)],
-                     seed: Long = 0): Output = {
-    val simple = new Simple(constrain = transform(SingleTable, pairs), name = "SIMPLE-EM")
-    Output(simple.fitPredict(votes, seed), SingleTable, leftDupFree = false, rightDupFree = false,
-      base = None)
+    val fit =
+      if (strategy == NoTrans) base
+      else new Simple(constrain = transform(strategy, pairs), name = "SIMPLE-EM").fit(votes, seed)
+    Output(fit.gamma, fit.converged, strategy, ldf, rdf, base.gamma)
   }
 }

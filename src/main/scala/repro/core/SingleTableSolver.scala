@@ -38,7 +38,9 @@ object SingleTableSolver {
       } else {
         // Paper's fallback: per predicted-match edge, sample neighbourhoods
         // of both endpoints, solve each sample, average the edge's value.
-        val adj = members.map(m => m -> pidx.filter(i => pairs(i)._1 == m || pairs(i)._2 == m)).toMap
+        // Each member's pairs, in pair order, from one pass over the pairs.
+        val adj = pidx.flatMap { i => val (a, b) = pairs(i); Seq(a -> i, b -> i).distinct }
+          .groupMap(_._1)(_._2)
         pidx.filter(gammaStar(_) > 0.5).foreach { e =>
           val (a, b) = pairs(e)
           val neighbours = (adj(a) ++ adj(b)).flatMap(i => Seq(pairs(i)._1, pairs(i)._2))

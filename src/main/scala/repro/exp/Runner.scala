@@ -26,7 +26,6 @@ object Runner {
                             truth: Array[Int],
                             lfs: Seq[LabelingFunctions.Lf]) {
     def cfg: EmDataGen.EmConfig = ds.cfg
-    val candSet: Set[(Long, Long)] = pairs.toSet
 
     private def matches(gamma: Array[Double]): Set[(Long, Long)] =
       pairs.indices.collect { case i if gamma(i) >= 0.5 => pairs(i) }.toSet
@@ -48,7 +47,7 @@ object Runner {
     /** F1 for an explicit predicted pair set (postprocessing baselines). */
     def f1Of(predicted: Set[(Long, Long)]): Double = Metrics.f1(scoped(predicted), ds.evalTruth)
 
-    def blockingRecall: Double = Blocking.recall(candSet, ds.gt)
+    def blockingRecall: Double = Blocking.recall(pairs.toSet, ds.gt)
   }
 
   /** Generate + block + vote + featurize one dataset at `scale`, as one
@@ -87,10 +86,7 @@ object Runner {
 
   /** SIMPLE-EM on a prepared dataset (detects duplicate-freeness itself). */
   def simpleEm(p: Prepared, seed: Long = 0): SimpleEm.Output =
-    if (p.cfg.twoTable)
-      SimpleEm.runTwoTable(p.votes, p.pairs, p.ds.nLeft, p.ds.nRight, seed)
-    else
-      SimpleEm.runSingleTable(p.votes, p.pairs, seed)
+    SimpleEm.run(p.votes, p.pairs, Option.when(p.cfg.twoTable)((p.ds.nLeft, p.ds.nRight)), seed)
 
   /** ZeroER on a prepared dataset (its own features, no LFs). */
   def zeroEr(p: Prepared, seed: Long = 0): Array[Double] =

@@ -6,9 +6,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The session settings are [[LocalSpark]]'s, shared with jobs/.
+  * Driver heap is set via ``Test / javaOptions`` in build.sbt: SPARK_DRIVER_MEM
+  * when it is set, else half of physical memory, clamped to 2–8 GB. The
+  * session settings are [[LocalSpark]]'s, shared with jobs/.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -19,10 +19,10 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = LocalSpark.session()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output that records the heap the run actually got.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
+      s"maxHeapMb=${Runtime.getRuntime.maxMemory >> 20} " +
       s"master=${s.sparkContext.master} " +
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )

@@ -153,7 +153,7 @@ class LabelModelsSpec extends AnyFunSuite {
   }
 
   test("SIMPLE constrain hook is applied to the E-step output") {
-    val s = new Simple(3, 5, Seq(2), Seq(0.0), (g: Array[Double]) => g.map(_ => 0.0), "zeroed")
+    val s = new Simple(maxIters = 3, constrain = _.map(_ => 0.0), name = "zeroed")
     val g = s.fitPredict(balanced.votes, 0)
     assert(g.forall(_ == 0.0))
   }

@@ -42,45 +42,45 @@ class SimpleEmSpec extends AnyFunSuite {
     assert(f1(Simple.fitPredict(votes, 0)) > 0.7)
   }
 
+  /** What SIMPLE-EM runs after its base fit once it has picked `strategy`. */
+  private def forced(strategy: SimpleEm.Strategy): Array[Double] =
+    new Simple(constrain = SimpleEm.transform(strategy, pairs), name = "SIMPLE-EM").fitPredict(votes, 0)
+
   test("forced both-dup-free constraint does not hurt, usually helps") {
-    val plain = Simple.fitPredict(votes, 0)
-    val base = f1(plain)
-    val out = SimpleEm.runTwoTable(votes, pairs, nEnt, nEnt, seed = 0,
-      forced = Some(SimpleEm.BothDupFree))
-    assert(out.strategy == SimpleEm.BothDupFree)
-    assert(f1(out.gamma) >= base - 0.01, s"em=${f1(out.gamma)} base=$base")
-    // The run reports the plain SIMPLE fit it made, bit for bit.
-    assert(out.base.exists(java.util.Arrays.equals(_, plain)))
+    val base = f1(Simple.fitPredict(votes, 0))
+    val em = f1(forced(SimpleEm.BothDupFree))
+    assert(em >= base - 0.01, s"em=$em base=$base")
   }
 
   test("constrained output is a matching under both-dup-free") {
-    val out = SimpleEm.runTwoTable(votes, pairs, nEnt, nEnt, seed = 0,
-      forced = Some(SimpleEm.BothDupFree))
-    val kept = pairs.indices.filter(out.gamma(_) >= 0.5)
+    val gamma = forced(SimpleEm.BothDupFree)
+    val kept = pairs.indices.filter(gamma(_) >= 0.5)
     assert(kept.map(pairs(_)._1).distinct.size == kept.size)
     assert(kept.map(pairs(_)._2).distinct.size == kept.size)
   }
 
   test("forced left-dup-free keeps at most one left match per right tuple") {
-    val out = SimpleEm.runTwoTable(votes, pairs, nEnt, nEnt, seed = 0,
-      forced = Some(SimpleEm.LeftDupFree))
-    val kept = pairs.indices.filter(out.gamma(_) >= 0.5)
+    val gamma = forced(SimpleEm.LeftDupFree)
+    val kept = pairs.indices.filter(gamma(_) >= 0.5)
     assert(kept.map(pairs(_)._2).distinct.size == kept.size)
   }
 
   test("auto-detection lands on a dup-free strategy for this dup-free fixture") {
-    val out = SimpleEm.runTwoTable(votes, pairs, nEnt, nEnt, seed = 0)
+    val out = SimpleEm.run(votes, pairs, Some((nEnt.toLong, nEnt.toLong)), seed = 0)
     assert(out.strategy != SimpleEm.NoTrans,
       s"expected a transitivity strategy, got ${out.strategy.describe}")
+    // The run reports the plain SIMPLE fit it made, bit for bit.
+    assert(java.util.Arrays.equals(out.base, Simple.fitPredict(votes, 0)))
   }
 
   test("single-table run applies the numerical solver and returns probabilities") {
     // Reinterpret the fixture as single-table pairs.
     val stPairs = pairs.map { case (a, b) => (a, b + 5000) }
-    val out = SimpleEm.runSingleTable(votes, stPairs, seed = 0)
+    val out = SimpleEm.run(votes, stPairs, tables = None, seed = 0)
     assert(out.strategy == SimpleEm.SingleTable)
+    assert(!out.leftDupFree && !out.rightDupFree)
     assert(out.gamma.forall(p => p >= 0 && p <= 1))
-    assert(out.base.isEmpty)
+    assert(java.util.Arrays.equals(out.base, Simple.fitPredict(votes, 0)))
   }
 
   test("transform round-trip: NoTrans is identity") {
