@@ -17,10 +17,8 @@ package repro.core
 object DawidSkene extends LabelModel {
   val name = "D&S"
 
-  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = {
-    val n = votes.length
-    if (n == 0) return Array.empty
-    val pats = VotePatterns(votes)
+  def fitPatterns(pats: VotePatterns, seed: Long): Array[Double] = {
+    val n = pats.rows
     val m = pats.m
     val rowPat = pats.ofRow
     // π and log π hold one m × 3 block per class (c = 0: y = -1), indexed

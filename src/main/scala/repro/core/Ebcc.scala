@@ -23,10 +23,8 @@ object Ebcc extends LabelModel {
   private val Iters = 80
   private val CK    = 2 * K  // (class, subtype) cells, class-major
 
-  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = {
-    val n = votes.length
-    if (n == 0) return Array.empty
-    val pats = VotePatterns(votes)
+  def fitPatterns(pats: VotePatterns, seed: Long): Array[Double] = {
+    val n = pats.rows
     val m = pats.m
     val rowPat = pats.ofRow
     // π and log π hold one m × 3 block per (class, subtype) cell ck =

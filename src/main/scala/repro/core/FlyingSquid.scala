@@ -18,10 +18,7 @@ package repro.core
 object FlyingSquid extends LabelModel {
   val name = "FS"
 
-  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = {
-    val n = votes.length
-    if (n == 0) return Array.empty
-    val pats = VotePatterns(votes)
+  def fitPatterns(pats: VotePatterns, seed: Long): Array[Double] = {
     val m = pats.m
     val pv = pats.votes
     val p1 = MajorityVote.classPrior(pats)

@@ -5,16 +5,20 @@ package repro.core
   * γ_i = P(y_i = +1) per row.
   *
   * Paper §3.1: every labeling model is a function ŷ = G(X, Θ), applied
-  * row-wise. All implementations here operate on the matrix collected to the
-  * driver (a small sufficient statistic: 4 to 83 columns on the EM and
-  * WRENCH benchmarks, with far fewer distinct rows than rows), while
-  * blocking, LF application and featurization run in Spark (see
-  * `exp.Runner.prepare`).
+  * row-wise, so a model needs only the distinct rows: `fitPredict` indexes
+  * X once as [[VotePatterns]] and calls `fitPatterns`. All implementations
+  * run on the matrix collected to the driver (4 to 83 columns on the EM and
+  * WRENCH benchmarks), while blocking, LF application and featurization run
+  * in Spark (see `exp.Runner.prepare`).
   */
 trait LabelModel {
   def name: String
   /** Soft labels for every row of `votes`; deterministic in `seed`. */
-  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double]
+  final def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] =
+    if (votes.isEmpty) Array.empty else fitPatterns(VotePatterns(votes), seed)
+
+  /** Soft labels for every row that `pats` indexes, in row order. */
+  def fitPatterns(pats: VotePatterns, seed: Long): Array[Double]
 }
 
 object LabelModel {

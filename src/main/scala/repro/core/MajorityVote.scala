@@ -10,8 +10,7 @@ package repro.core
 object MajorityVote extends LabelModel {
   val name = "MV"
 
-  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] =
-    votes.map(row => ofSum(row.sum))
+  def fitPatterns(pats: VotePatterns, seed: Long): Array[Double] = pats.expand(ofPatterns(pats))
 
   /** Majority vote of each distinct pattern. */
   def ofPatterns(pats: VotePatterns): Array[Double] = {
@@ -32,8 +31,6 @@ object MajorityVote extends LabelModel {
     * setup ("we obtain the class weights by counting ... from Majority
     * Vote").
     */
-  def classPrior(votes: Array[Array[Int]]): Double = classPrior(VotePatterns(votes))
-
   def classPrior(pats: VotePatterns): Double = {
     val mv = ofPatterns(pats)
     var matches = 0

@@ -14,20 +14,25 @@ import repro.ml.{CrossVal, RandomForest, Smote}
   *      free-energy constrained E-step of §4).
   *   4. Repeat until convergence (≤ maxIters; the paper observes 10 suffices).
   *
-  * `constrain` receives the unconstrained γ* of the current E-step and
-  * returns the constrained γ**; identity for plain SIMPLE.
+  * X is read through its [[VotePatterns]] index: the MV start and each
+  * E-step's prediction run once per pattern; the M-step trains on every row,
+  * the rows of a pattern sharing one feature array.
+  *
+  * `constrain` receives the unconstrained per-row γ* of the current E-step
+  * and returns the constrained γ**; identity for plain SIMPLE.
   */
 class Simple(maxIters: Int = 10,
              constrain: Array[Double] => Array[Double] = identity,
              override val name: String = "SIMPLE") extends LabelModel {
 
-  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = fit(votes, seed).gamma
+  def fitPatterns(pats: VotePatterns, seed: Long): Array[Double] = fit(pats, seed).gamma
 
-  def fit(votes: Array[Array[Int]], seed: Long = 0L): Simple.Fit = {
-    val n = votes.length
-    if (n == 0) return Simple.Fit(Array.empty, converged = true)
-    val xs = votes.map(_.map(_.toDouble))
-    var gamma = constrain(MajorityVote.fitPredict(votes))
+  def fit(votes: Array[Array[Int]], seed: Long = 0L): Simple.Fit = fit(VotePatterns(votes), seed)
+
+  def fit(pats: VotePatterns, seed: Long): Simple.Fit = {
+    val patX = Array.tabulate(pats.size)(p => Array.tabulate(pats.m)(j => pats.votes(p * pats.m + j).toDouble))
+    val xs = pats.ofRow.map(patX)
+    var gamma = constrain(MajorityVote.fitPatterns(pats, seed))
     var iter = 0
     var converged = false
     while (iter < maxIters && !converged) {
@@ -40,10 +45,10 @@ class Simple(maxIters: Int = 10,
                                                 folds = 3, numTrees = Simple.NumTrees,
                                                 seed = seed + 31 * iter)
         val model     = RandomForest.fit(bx, by, params, seed = seed + 97 * iter)
-        // E-step: predict on the ORIGINAL rows, then apply the constraint.
-        val next  = constrain(xs.map(model.predictProba))
+        // E-step: predict each pattern once, then constrain per pair.
+        val next  = constrain(pats.expand(patX.map(model.predictProba)))
         val flips = next.zip(gamma).count { case (a, b) => (a >= 0.5) != (b >= 0.5) }
-        converged = flips.toDouble / n < 0.001
+        converged = flips.toDouble / pats.rows < 0.001
         gamma = next
       }
       iter += 1

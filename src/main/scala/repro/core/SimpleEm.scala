@@ -43,7 +43,8 @@ object SimpleEm {
     */
   def run(votes: Array[Array[Int]], pairs: Array[(Long, Long)],
           tables: Option[(Long, Long)], seed: Long = 0): Output = {
-    val base = Simple.fit(votes, seed)
+    val pats = VotePatterns(votes)
+    val base = Simple.fit(pats, seed)
     val (strategy, ldf, rdf) = tables match {
       case None => (SingleTable, false, false)
       case Some((nLeft, nRight)) =>
@@ -56,7 +57,7 @@ object SimpleEm {
     }
     val fit =
       if (strategy == NoTrans) base
-      else new Simple(constrain = transform(strategy, pairs), name = "SIMPLE-EM").fit(votes, seed)
+      else new Simple(constrain = transform(strategy, pairs), name = "SIMPLE-EM").fit(pats, seed)
     Output(fit.gamma, fit.converged, strategy, ldf, rdf, base.gamma)
   }
 }

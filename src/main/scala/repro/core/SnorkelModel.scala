@@ -18,10 +18,8 @@ package repro.core
 object SnorkelModel extends LabelModel {
   val name = "SN"
 
-  def fitPredict(votes: Array[Array[Int]], seed: Long = 0L): Array[Double] = {
-    val n = votes.length
-    if (n == 0) return Array.empty
-    val pats = VotePatterns(votes)
+  def fitPatterns(pats: VotePatterns, seed: Long): Array[Double] = {
+    val n = pats.rows
     val m = pats.m
     val pv = pats.votes
     val rowPat = pats.ofRow

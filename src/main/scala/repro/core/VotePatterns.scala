@@ -4,9 +4,9 @@ package repro.core
   * first occurrence, with each row's pattern and each pattern's row count.
   *
   * Labeling matrices repeat themselves heavily (a few hundred to a few
-  * thousand patterns among tens of thousands of pairs), so the vote models
-  * run their E-steps once per pattern and copy the result back to the rows
-  * with `expand`. The index is built from primitive arrays only: it keeps
+  * thousand patterns among tens of thousands of pairs), so every
+  * [[LabelModel]] works once per pattern and copies the result back to the
+  * rows with `expand`. The index is built from primitive arrays only: it keeps
   * no reference to the input rows.
   */
 final class VotePatterns private (

@@ -12,10 +12,8 @@ object CrossVal {
 
   /** Grid-search (maxDepth, ccpAlpha) by k-fold accuracy on (xs, ys). */
   def selectRfParams(xs: Array[Array[Double]], ys: Array[Int],
-                     depths: Seq[Int] = Seq(2, 4, 6),
-                     alphas: Seq[Double] = Seq(0.0, 0.001, 0.01),
-                     folds: Int = 3, numTrees: Int = 15,
-                     seed: Long = 0): RandomForest.Params = {
+                     depths: Seq[Int], alphas: Seq[Double],
+                     folds: Int, numTrees: Int, seed: Long): RandomForest.Params = {
     val n = xs.length
     if (n < folds * 2) return RandomForest.Params(numTrees = numTrees)
     val rng  = new Random(seed)

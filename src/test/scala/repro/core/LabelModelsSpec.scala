@@ -27,6 +27,18 @@ object VoteFixtures {
     Fixture(votes, truth)
   }
 
+  /** n rows drawn from a few random patterns over m LFs, so rows repeat
+    * heavily; each pattern's LFs abstain with its own probability.
+    */
+  def duplicated(seed: Long, n: Int, m: Int, patterns: Int): Array[Array[Int]] = {
+    val rng = new Random(seed)
+    val pats = Array.fill(patterns) {
+      val abstain = rng.nextDouble()
+      Array.fill(m)(if (rng.nextDouble() < abstain) 0 else if (rng.nextBoolean()) 1 else -1)
+    }
+    Array.fill(n)(pats(rng.nextInt(patterns)).clone())
+  }
+
   def accuracy(gamma: Array[Double], truth: Array[Int]): Double =
     gamma.indices.count(i => (gamma(i) >= 0.5) == (truth(i) == 1)).toDouble / gamma.length
 }
@@ -41,7 +53,8 @@ class LabelModelsSpec extends AnyFunSuite {
     accs = Seq(0.9, 0.8, 0.65, 0.6, 0.7, 0.55), covs = Seq(0.8, 0.8, 0.9, 0.9, 0.6, 0.9),
     posRate = 0.12, seed = 2)
 
-  private def models: Seq[LabelModel] = Seq(MajorityVote, DawidSkene, Ebcc, SnorkelModel, FlyingSquid)
+  private def models: Seq[LabelModel] =
+    Seq(MajorityVote, DawidSkene, Ebcc, SnorkelModel, FlyingSquid, new Simple(maxIters = 2))
 
   test("majority vote: positive sum -> match, negative -> non-match, tie -> non-match") {
     val g = MajorityVote.fitPredict(Array(Array(1, 1, -1), Array(-1, -1, 1), Array(1, -1, 0), Array(0, 0, 0)))
@@ -51,8 +64,8 @@ class LabelModelsSpec extends AnyFunSuite {
   test("majority vote class prior is clipped to [0.01, 0.95]") {
     val allPos = Array.fill(10)(Array(1, 1))
     val allNeg = Array.fill(10)(Array(-1, -1))
-    assert(MajorityVote.classPrior(allPos) == 0.95)
-    assert(MajorityVote.classPrior(allNeg) == 0.01)
+    assert(MajorityVote.classPrior(VotePatterns(allPos)) == 0.95)
+    assert(MajorityVote.classPrior(VotePatterns(allNeg)) == 0.01)
   }
 
   private lazy val wrench = WrenchGen.specs.map(WrenchGen.generate)

@@ -6,10 +6,10 @@ import repro.PropSupport
 import repro.wrench.WrenchGen
 import scala.util.Random
 
-/** The row-by-row vote models (D&S, EBCC, Snorkel, FlyingSquid) with nested
-  * arrays and a `math.log` per (row, LF) term. The pattern-indexed models in
-  * `repro.core` must reproduce them bit for bit; EBCC's are compared after
-  * clamping to 1, which the reference does not do.
+/** The row-by-row vote models (MV, D&S, EBCC, Snorkel, FlyingSquid) with
+  * nested arrays and a `math.log` per (row, LF) term. The pattern-indexed
+  * models in `repro.core` must reproduce them bit for bit; EBCC's are
+  * compared after clamping to 1, which the reference does not do.
   */
 object ReferenceVoteModels {
   private val Classes = 2
@@ -17,8 +17,12 @@ object ReferenceVoteModels {
   private val iters   = 80
   private def sym(v: Int): Int = v + 1
 
+  /** Sign of each row's vote sum; ties (all-abstain rows too) just below 0.5. */
+  def majorityVote(votes: Array[Array[Int]]): Array[Double] =
+    votes.map { row => val s = row.sum; if (s > 0) 1.0 else if (s < 0) 0.0 else 0.45 }
+
   private def classPrior(votes: Array[Array[Int]]): Double = {
-    val g = MajorityVote.fitPredict(votes)
+    val g = majorityVote(votes)
     math.min(0.95, math.max(0.01, g.count(_ >= 0.5).toDouble / math.max(1, g.length)))
   }
 
@@ -26,7 +30,7 @@ object ReferenceVoteModels {
     val n = votes.length
     if (n == 0) return Array.empty
     val m = votes(0).length
-    var mu = MajorityVote.fitPredict(votes)    // P(y_i = +1)
+    var mu = majorityVote(votes)    // P(y_i = +1)
     var iter = 0
     var prev = mu
     var converged = false
@@ -85,7 +89,7 @@ object ReferenceVoteModels {
     if (n == 0) return Array.empty
     val m = votes(0).length
     val rng = new Random(seed)
-    val mv  = MajorityVote.fitPredict(votes)
+    val mv  = majorityVote(votes)
 
     // r(i)(c)(k): joint responsibility; init from MV with random subtype split.
     var r = Array.tabulate(n) { i =>
@@ -156,7 +160,7 @@ object ReferenceVoteModels {
       math.min(0.999, math.max(1e-3, votes.count(_(j) != 0).toDouble / n))
     }
     var alpha = Array.fill(m)(0.7) // better-than-random init (weak-supervision assumption)
-    var mu = MajorityVote.fitPredict(votes)
+    var mu = majorityVote(votes)
 
     var iter = 0
     var converged = false
@@ -212,7 +216,7 @@ object ReferenceVoteModels {
     if (n == 0) return Array.empty
     val m = votes(0).length
     val p1 = classPrior(votes)
-    val mv = MajorityVote.fitPredict(votes).map(g => if (g >= 0.5) 1 else -1)
+    val mv = majorityVote(votes).map(g => if (g >= 0.5) 1 else -1)
 
     // Pairwise second moments over mutually non-abstaining rows.
     val moment = Array.fill(m, m)(0.0)
@@ -274,28 +278,17 @@ class VoteKernelOracleSpec extends AnyFunSuite with PropSupport {
 
   private def clamp(g: Array[Double]): Array[Double] = g.map(math.min(1.0, _))
 
-  /** The problems found when the four models' outputs on `votes` are
+  /** The problems found when the five models' outputs on `votes` are
     * compared bitwise with the references'; empty when all match.
     */
   private def mismatches(votes: Array[Array[Int]], seed: Long): Seq[String] =
     Seq(
+      "MV"   -> (MajorityVote.fitPredict(votes, seed), ReferenceVoteModels.majorityVote(votes)),
       "D&S"  -> (DawidSkene.fitPredict(votes, seed), ReferenceVoteModels.dawidSkene(votes)),
       "EBCC" -> (Ebcc.fitPredict(votes, seed), clamp(ReferenceVoteModels.ebcc(votes, seed))),
       "SN"   -> (SnorkelModel.fitPredict(votes, seed), ReferenceVoteModels.snorkel(votes)),
       "FS"   -> (FlyingSquid.fitPredict(votes, seed), ReferenceVoteModels.flyingSquid(votes)))
       .collect { case (name, (got, want)) if !java.util.Arrays.equals(got, want) => name }
-
-  /** n rows drawn from a few random patterns over m LFs, so rows repeat
-    * heavily; each pattern's LFs abstain with its own probability.
-    */
-  private def duplicated(seed: Long, n: Int, m: Int, patterns: Int): Array[Array[Int]] = {
-    val rng = new Random(seed)
-    val pats = Array.fill(patterns) {
-      val abstain = rng.nextDouble()
-      Array.fill(m)(if (rng.nextDouble() < abstain) 0 else if (rng.nextBoolean()) 1 else -1)
-    }
-    Array.fill(n)(pats(rng.nextInt(patterns)).clone())
-  }
 
   test("all ten WRENCH specs: every vote model equals its reference bit for bit") {
     WrenchGen.specs.foreach { spec =>
@@ -313,7 +306,7 @@ class VoteKernelOracleSpec extends AnyFunSuite with PropSupport {
 
   test("property: duplicate-heavy vote matrices give bit-identical γ for every model") {
     checkProp(Prop.forAllNoShrink(matrixCase) { case (seed, n, m, patterns) =>
-      mismatches(duplicated(seed, n, m, patterns), seed).isEmpty
+      mismatches(VoteFixtures.duplicated(seed, n, m, patterns), seed).isEmpty
     }, minTests = 200)
   }
 

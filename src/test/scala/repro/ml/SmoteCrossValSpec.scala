@@ -72,22 +72,25 @@ class SmoteCrossValSpec extends AnyFunSuite with PropSupport {
 
   test("cross validation picks a param set that separates easy data") {
     val (xs, ys) = imbalanced(60, 60, 5)
-    val p = CrossVal.selectRfParams(xs, ys, seed = 0)
+    val p = CrossVal.selectRfParams(xs, ys, depths = Seq(2, 4, 6), alphas = Seq(0.0, 0.001, 0.01),
+                                    folds = 3, numTrees = 15, seed = 0)
     val m = RandomForest.fit(xs, ys, p, 0)
     val acc = xs.indices.count(i => m.predict(xs(i)) == ys(i)).toDouble / xs.length
     assert(acc > 0.95)
   }
 
   test("cross validation falls back to defaults on tiny data") {
-    val p = CrossVal.selectRfParams(Array(Array(1.0), Array(0.0)), Array(1, 0))
-    assert(p.numTrees > 0)
+    val p = CrossVal.selectRfParams(Array(Array(1.0), Array(0.0)), Array(1, 0), depths = Seq(2, 4, 6),
+                                    alphas = Seq(0.0), folds = 3, numTrees = 15, seed = 0)
+    assert(p == RandomForest.Params(numTrees = 15))
   }
 
   test("cross validation prefers deeper trees for XOR-like data") {
     val rng = new Random(7)
     val xs = Array.fill(400)(Array(rng.nextInt(2).toDouble, rng.nextInt(2).toDouble))
     val ys = xs.map(x => if (x(0) != x(1)) 1 else 0)
-    val p = CrossVal.selectRfParams(xs, ys, depths = Seq(1, 4), alphas = Seq(0.0), seed = 1)
+    val p = CrossVal.selectRfParams(xs, ys, depths = Seq(1, 4), alphas = Seq(0.0),
+                                    folds = 3, numTrees = 15, seed = 1)
     assert(p.maxDepth == 4)
   }
 }
