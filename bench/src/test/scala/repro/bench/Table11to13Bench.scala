@@ -53,7 +53,8 @@ class Table12WrenchBench extends BenchSpec {
 /** Table 13 — duplicate-free detection. Paper shape: the clean one-to-one
   * datasets (FZ, DA, AB analogues) are detected duplicate-free; DS/AG/WA
   * (built with duplicates) are not; detection agrees with when the dup-free
-  * exact solution helps.
+  * exact solution helps. AG's mild duplicates are detected dup-free here,
+  * the test's designed bias (EXPERIMENTS.md), so AG is not asserted.
   */
 class Table13DupFreeBench extends BenchSpec {
   test("Table 13: detection separates dup-free from duplicated tables") {
@@ -64,9 +65,13 @@ class Table13DupFreeBench extends BenchSpec {
     // duplicated side.
     val Pair(dsLeft, _) = detected("DS")
     assert(dsLeft == flag(false), s"DS left has heavy dups: ${detected("DS").render}")
-    // Datasets generated duplicate-free should be detected as such.
-    Seq("FZ", "DA").foreach { n =>
+    // Datasets generated duplicate-free should be detected as such — AB too,
+    // although its predicted matches hold many spurious duplicates (the
+    // paper's robustness claim).
+    Seq("FZ", "DA", "AB").foreach { n =>
       assert(detected(n) == Pair(flag(true), flag(true)), s"$n should be detected dup-free: ${detected(n).render}")
     }
+    // WA is built with duplicates on both sides.
+    assert(detected("WA") == Pair(flag(false), flag(false)), s"WA has dups on both sides: ${detected("WA").render}")
   }
 }

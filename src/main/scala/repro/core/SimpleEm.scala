@@ -22,10 +22,12 @@ object SimpleEm {
   case object SingleTable   extends Strategy { def describe = "single-table"    }
 
   /** `gamma` and `converged` come from the constrained fit (`base` under `NoTrans`); `base` is
-    * the plain SIMPLE fit every run makes first. Single-table runs set no duplicate-free flag.
+    * the plain SIMPLE fit every run makes first. `dupFreeTests` holds the (left, right)
+    * duplicate-free tests that chose `strategy`; single-table runs make none.
     */
   final case class Output(gamma: Array[Double], converged: Boolean, strategy: Strategy,
-                          leftDupFree: Boolean, rightDupFree: Boolean, base: Array[Double])
+                          dupFreeTests: Option[(DupFreeDetect.Result, DupFreeDetect.Result)],
+                          base: Array[Double])
 
   /** Constraint transform for a chosen strategy. */
   def transform(strategy: Strategy, pairs: Array[(Long, Long)]): Array[Double] => Array[Double] =
@@ -45,19 +47,17 @@ object SimpleEm {
           tables: Option[(Long, Long)], seed: Long = 0): Output = {
     val pats = VotePatterns(votes)
     val base = Simple.fit(pats, seed)
-    val (strategy, ldf, rdf) = tables match {
-      case None => (SingleTable, false, false)
-      case Some((nLeft, nRight)) =>
-        val matches = pairs.indices.filter(base.gamma(_) >= 0.5).map(pairs)
-        val ldf = DupFreeDetect.leftDupFree(matches, nRight, seed = seed + 1).dupFree
-        val rdf = DupFreeDetect.rightDupFree(matches, nLeft, seed = seed + 2).dupFree
-        val strategy =
-          if (ldf && rdf) BothDupFree else if (ldf) LeftDupFree else if (rdf) RightDupFree else NoTrans
-        (strategy, ldf, rdf)
+    val tests = tables.map { case (nLeft, nRight) =>
+      val matches = pairs.indices.filter(base.gamma(_) >= 0.5).map(pairs)
+      (DupFreeDetect.leftDupFree(matches, nRight), DupFreeDetect.rightDupFree(matches, nLeft))
+    }
+    val strategy = tests.fold[Strategy](SingleTable) { case (l, r) =>
+      if (l.dupFree && r.dupFree) BothDupFree else if (l.dupFree) LeftDupFree
+      else if (r.dupFree) RightDupFree else NoTrans
     }
     val fit =
       if (strategy == NoTrans) base
       else new Simple(constrain = transform(strategy, pairs), name = "SIMPLE-EM").fit(pats, seed)
-    Output(fit.gamma, fit.converged, strategy, ldf, rdf, base.gamma)
+    Output(fit.gamma, fit.converged, strategy, tests, base.gamma)
   }
 }

@@ -78,7 +78,7 @@ class SimpleEmSpec extends AnyFunSuite {
     val stPairs = pairs.map { case (a, b) => (a, b + 5000) }
     val out = SimpleEm.run(votes, stPairs, tables = None, seed = 0)
     assert(out.strategy == SimpleEm.SingleTable)
-    assert(!out.leftDupFree && !out.rightDupFree)
+    assert(out.dupFreeTests.isEmpty)
     assert(out.gamma.forall(p => p >= 0 && p <= 1))
     assert(java.util.Arrays.equals(out.base, Simple.fitPredict(votes, 0)))
   }

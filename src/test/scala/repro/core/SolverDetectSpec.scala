@@ -110,25 +110,6 @@ class SolverDetectSpec extends AnyFunSuite {
     assert(DupFreeDetect.leftDupFree(matches, nRight = 1000).dupFree)
   }
 
-  test("detect is deterministic in seed") {
-    val matches = (0 until 40).map(i => (i.toLong, 2000L + (i % 35).toLong))
-    val a = DupFreeDetect.leftDupFree(matches, 300, seed = 5)
-    val b = DupFreeDetect.leftDupFree(matches, 300, seed = 5)
-    assert(a == b)
-  }
-
-  test("detect: the Long.MinValue draw maps into 1..n; other draws keep 1 + |r| % n") {
-    for (n <- Seq(1L, 2L, 3L, 7L, 1000L, Long.MaxValue)) {
-      val v = DupFreeDetect.drawId(Long.MinValue, n)
-      assert(v >= 1 && v <= n, s"n=$n gave $v")
-    }
-    val rng = new Random(3)
-    for (_ <- 0 until 1000; n <- Seq(1L, 5L, 300L, 12345L)) {
-      val r = rng.nextLong()
-      assert(DupFreeDetect.drawId(r, n) == 1 + math.abs(r) % n)
-    }
-  }
-
   test("detect: nRight = 0 does not throw and counts the right tuples seen in M") {
     val matches = (0 until 30).map(i => (i.toLong, 2000L + (i % 10).toLong))
     val r = DupFreeDetect.leftDupFree(matches, nRight = 0)
